@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import frobenius as frob
@@ -228,30 +226,6 @@ def evaluate_expr(node) -> SymFunc:
 # -- verification suites -----------------------------------------------------
 
 
-def thread_cap() -> int:
-    """Worker cap from SYMFROB_THREADS (default 1, must be a positive integer)."""
-    raw = os.environ.get("SYMFROB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"SYMFROB_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"SYMFROB_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _run_checks(checks):
-    """Evaluate (name, thunk) pairs, optionally on a small thread pool."""
-    cap = thread_cap()
-    if cap == 1 or len(checks) < 2:
-        return [(name, thunk()) for name, thunk in checks]
-    with ThreadPoolExecutor(max_workers=min(cap, len(checks))) as pool:
-        results = list(pool.map(lambda item: item[1](), checks))
-    return [(name, ok) for (name, _), ok in zip(checks, results)]
-
-
 def _suite_kronecker(maxdeg):
     checks = []
     parts = partitions_up_to(maxdeg)
@@ -440,12 +414,13 @@ def _cmd_table(args):
 
 def _cmd_verify(args):
     checks = SUITES[args.suite](args.maxdeg)
-    results = _run_checks(checks)
-    failures = [name for name, ok in results if not ok]
-    print(f"suite {args.suite}: {len(results)} checks, {len(failures)} failures")
+    failures = [name for name, check in checks if not check()]
+    print(f"suite {args.suite}: {len(checks)} checks, {len(failures)} failures")
     for name in failures:
         print(f"FAIL {name}", file=sys.stderr)
-    return 2 if failures else 0
+    if not checks:
+        print(f"FAIL suite {args.suite} ran no checks", file=sys.stderr)
+    return 2 if failures or not checks else 0
 
 
 def _cmd_lyndon(args):
@@ -453,6 +428,16 @@ def _cmd_lyndon(args):
     print(format_factorization(word))
     print(format_partition(pi_of_word(word)))
     return 0
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for degree bounds: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}"
+        )
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -494,13 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="export a coefficient matrix")
     p_tab.add_argument("--kind", required=True, choices=frob.COEFF_KINDS)
-    p_tab.add_argument("--maxdeg", required=True, type=int)
+    p_tab.add_argument("--maxdeg", required=True, type=_nonnegative_int)
     p_tab.add_argument("--format", default="csv", choices=("csv", "json"))
     p_tab.set_defaults(func=_cmd_table)
 
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_ver.add_argument("--maxdeg", required=True, type=int)
+    p_ver.add_argument("--maxdeg", required=True, type=_nonnegative_int)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_lyn = sub.add_parser("lyndon", help="factor a word and print its pi partition")

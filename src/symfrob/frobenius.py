@@ -517,33 +517,13 @@ def coeff_table(kind: str, maxdeg: int) -> tuple:
     return index, matrix
 
 
-def _invert_matrix(matrix) -> list:
-    n = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 def stable_matrix(kind: str, maxdeg: int, verify=None) -> tuple:
     """(index, matrix) for the stable families a and b.
 
-    For b the default (and any maxdeg <= 6) cross-checks the closed
-    formula against the matrix inverse of the a table; disagreement is an
-    internal error, never returned.
+    The b table is the inverse of the a table. With ``verify`` (the
+    default for maxdeg <= 6) the closed formula for b is checked by
+    b·a = I in exact integer arithmetic, which for square matrices is
+    b = a^-1. A mismatch is an internal error, never returned.
     """
     if kind not in ("a", "b"):
         raise ValueError("stable_matrix covers kinds 'a' and 'b'")
@@ -553,12 +533,13 @@ def stable_matrix(kind: str, maxdeg: int, verify=None) -> tuple:
             verify = maxdeg <= 6
         if verify:
             _, a_matrix = coeff_table("a", maxdeg)
-            inverse = _invert_matrix(a_matrix)
-            for i in range(len(index)):
-                for j in range(len(index)):
-                    if inverse[i][j] != matrix[i][j]:
+            size = len(index)
+            for i, row in enumerate(matrix):
+                for j in range(size):
+                    entry = sum(row[k] * a_matrix[k][j] for k in range(size))
+                    if entry != (i == j):
                         raise InternalCheckError(
-                            "b formula disagrees with the inverse of the a table "
+                            "b formula times the a table is not the identity "
                             f"at ({index[i]}, {index[j]})"
                         )
     return index, matrix

@@ -326,36 +326,42 @@ def _multiplicative_in_p(base: str, lam) -> tuple:
 def _m_in_p_degree(n: int) -> dict:
     """p-expansions of all monomial symmetric functions of degree n.
 
-    m is the Hall dual of h, so with A the h-to-p matrix and D = diag(z),
-    the m-to-p matrix B solves A D B^T = I. Solved once per degree by
-    exact Gaussian elimination.
+    m is the Hall dual of h, so the Gram matrix G[lam][nu] = <h_lam, p_nu>
+    = z_nu [p_nu] h_lam is the integer p-to-m matrix: p_nu is the sum of
+    G[lam][nu] m_lam. p_nu expands over the coarsenings lam of nu (merge
+    parts of nu into blocks), and a coarsening comes before nu in
+    partitions_of order, so G is upper triangular with diagonal
+    prod m_i(nu)!. The table is built by back substitution on the integer
+    p-to-m matrix: m_nu is p_nu minus the already known G[lam][nu] m_lam,
+    divided by the diagonal entry.
     """
     parts = partitions_of(n)
-    k = len(parts)
     index = {lam: i for i, lam in enumerate(parts)}
-    G = [[Fraction(0)] * k for _ in range(k)]
+    diagonal = [0] * len(parts)
+    # above[j] lists (lam, G[lam][nu]) for nu = parts[j] and lam before nu.
+    above = [[] for _ in parts]
     for i, lam in enumerate(parts):
         for nu, c in _multiplicative_in_p("h", lam):
-            G[i][index[nu]] = c * z_value(nu)
-    # Gauss-Jordan inverse of G.
-    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if G[r][col] != 0)
-        G[col], G[pivot] = G[pivot], G[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = G[col][col]
-        G[col] = [x / p for x in G[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(k):
-            if r != col and G[r][col]:
-                f = G[r][col]
-                G[r] = [x - f * y for x, y in zip(G[r], G[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    # B = G^{-T}: row i of B gives the p-coefficients of m_{parts[i]}.
+            j = index[nu]
+            if j < i:
+                raise InternalCheckError(
+                    f"p-to-m matrix is not upper triangular at ({lam}, {nu})"
+                )
+            if j == i:
+                diagonal[j] = c * z_value(nu)
+            else:
+                above[j].append((lam, c * z_value(nu)))
     table = {}
-    for i, lam in enumerate(parts):
-        table[lam] = tuple(
-            (parts[j], inv[j][i]) for j in range(k) if inv[j][i] != 0
+    for j, nu in enumerate(parts):
+        acc = {nu: Fraction(1)}
+        for lam, g in above[j]:
+            for rho, c in table[lam]:
+                acc[rho] = acc.get(rho, 0) - g * c
+        d = diagonal[j]
+        table[nu] = tuple(
+            (rho, acc[rho] / d)
+            for rho in sorted(acc, key=index.__getitem__)
+            if acc[rho]
         )
     return table
 

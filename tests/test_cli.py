@@ -17,7 +17,6 @@ from symfrob.cli import (
     format_expr,
     main,
     parse_expr,
-    thread_cap,
 )
 from symfrob.frobenius import fsur
 from symfrob.symfunc import from_basis, from_serializable, to_serializable
@@ -222,6 +221,31 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "FAIL fails" in err
 
 
+def test_verify_zero_checks_exits_two(capsys, monkeypatch):
+    import symfrob.cli as cli_module
+
+    monkeypatch.setitem(cli_module.SUITES, "empty", lambda maxdeg: [])
+    code, out, err = run_cli(capsys, "verify", "--suite", "empty", "--maxdeg", "1")
+    assert code == 2
+    assert "0 checks" in out
+    assert "ran no checks" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--kind", "r", "--maxdeg", "-1"),
+        ("verify", "--suite", "kronecker", "--maxdeg", "-2"),
+        ("verify", "--suite", "durfee", "--maxdeg", "-2"),
+    ],
+)
+def test_negative_maxdeg_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "nonnegative" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["coeff", "--bogus"]) == 1
 
@@ -236,23 +260,6 @@ def test_help_mentions_default_cutoff(capsys):
     code, out, err = run_cli(capsys, "transform", "--help")
     assert code == 0
     assert "deg(expr) + 4" in out
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("SYMFROB_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("SYMFROB_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("SYMFROB_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_cap()
-
-
-def test_verify_with_threads(capsys, monkeypatch):
-    monkeypatch.setenv("SYMFROB_THREADS", "3")
-    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--maxdeg", "3")
-    assert code == 0
-    assert "0 failures" in out
 
 
 def test_module_entry_point():

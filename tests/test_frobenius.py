@@ -31,6 +31,7 @@ from symfrob.partitions import (
 )
 from symfrob.symfunc import (
     BASES,
+    InternalCheckError,
     SymFunc,
     from_basis,
     hall,
@@ -423,6 +424,23 @@ def test_stable_b_matches_inverse():
         for j in range(n):
             total = sum(b_matrix[i][k] * a_matrix[k][j] for k in range(n))
             assert total == (1 if i == j else 0)
+
+
+def test_stable_b_check_rejects_corrupt_entry(monkeypatch):
+    import symfrob.frobenius as frob_module
+
+    real_table = frob_module.coeff_table
+
+    def corrupted(kind, maxdeg):
+        index, matrix = real_table(kind, maxdeg)
+        if kind == "b":
+            matrix[-1][0] += 1
+        return index, matrix
+
+    monkeypatch.setattr(frob_module, "coeff_table", corrupted)
+    with pytest.raises(InternalCheckError) as info:
+        stable_matrix("b", 4, verify=True)
+    assert "((1, 1, 1, 1), ())" in str(info.value)
 
 
 def test_coeff_table_orientation():
