@@ -37,6 +37,7 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
+    _pk_plethysm,
     character_value,
     from_basis,
     hall,
@@ -55,29 +56,36 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 
 
 @lru_cache(maxsize=None)
-def _pk_of(g: SymFunc, k: int) -> dict:
-    """Terms of p_k[g]: every index partition of g with parts scaled by k."""
-    return {tuple(p * k for p in mu): c for mu, c in g.terms()}
+def _pk_of(series_name: str, k: int, degree: int) -> dict:
+    """Terms of p_k[g] through the given degree, g the named series.
+
+    A term of g of degree d lands in degree k*d, so the series is read
+    through degree // k.
+    """
+    return dict(_pk_plethysm(k, standard_series(series_name, degree // k)).terms())
 
 
 @lru_cache(maxsize=None)
-def _pleth_coeff(g: SymFunc, nu, rho) -> Fraction:
-    """Coefficient of p_rho in p_nu[g].
+def _pleth_coeff(series_name: str, nu, rho) -> Fraction:
+    """Coefficient of p_rho in p_nu[g], g the named standard series.
 
-    Recursion over the parts of nu; at each step the first factor
-    contributes a sub-multiset of rho. Enumerating sub-multisets of rho
-    (always few) and probing the factor's term dict keeps transform
-    extraction fast even when g carries hundreds of terms.
+    The coefficient reads only the terms of g through degree |rho|, and
+    every standard series but Lyndon is the truncation of one fixed
+    series, so one entry serves every cutoff. Recursion over the parts of
+    nu; at each step the first factor contributes a sub-multiset of rho.
+    Enumerating sub-multisets of rho (always few) and probing the
+    factor's term dict keeps transform extraction fast even when g
+    carries hundreds of terms.
     """
     if not nu:
         return Fraction(1) if not rho else Fraction(0)
-    pk = _pk_of(g, nu[0])
+    pk = _pk_of(series_name, nu[0], sum(rho))
     rest = nu[1:]
     total = Fraction(0)
     for sigma in submultisets(rho):
         c = pk.get(sigma)
         if c is not None:
-            sub = _pleth_coeff(g, rest, multiset_diff(rho, sigma))
+            sub = _pleth_coeff(series_name, rest, multiset_diff(rho, sigma))
             if sub:
                 total += c * sub
     return total
@@ -87,21 +95,22 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """Apply the Hall adjoint of plethysm-by-series to the exact element f.
 
     The p_nu coefficient of the result is (1/z_nu) sum_rho z_rho f_rho
-    [p_rho](p_nu[series]), with the series truncated at deg f.
+    [p_rho](p_nu[series]). Each coefficient depends on the series only
+    through degree |rho|, so the memo is keyed by the series name and
+    shared by inputs of every degree.
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     if f.is_zero:
         return SymFunc.zero()
     degree = f.degree
-    g = standard_series(series_name, degree)
     items = [(rho, z_value(rho) * c) for rho, c in f.terms()]
     out = {}
     for m in range(degree + 1):
         for nu in partitions_of(m):
             total = Fraction(0)
             for rho, zc in items:
-                pc = _pleth_coeff(g, nu, rho)
+                pc = _pleth_coeff(series_name, nu, rho)
                 if pc:
                     total += zc * pc
             if total:

@@ -62,7 +62,7 @@ class SymFunc:
     finite element; an integer cutoff marks a truncated series.
     """
 
-    __slots__ = ("_terms", "cutoff", "_hash")
+    __slots__ = ("_terms", "cutoff")
 
     def __init__(self, terms=None, cutoff=None, _validate=True):
         if cutoff is not None:
@@ -71,7 +71,6 @@ class SymFunc:
                 raise ValueError("cutoff must be nonnegative")
         self._terms = _normalize_terms(terms or {}, cutoff, _validate)
         self.cutoff = cutoff
-        self._hash = None
 
     @classmethod
     def zero(cls, cutoff=None):
@@ -225,9 +224,7 @@ class SymFunc:
         return self.cutoff == other.cutoff and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.cutoff, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.cutoff, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
@@ -303,23 +300,14 @@ def _s_in_p(lam) -> tuple:
     return tuple(out)
 
 
-def _convolve(pairs_a, pairs_b):
-    out = {}
-    for lam, a in pairs_a:
-        for mu, b in pairs_b:
-            key = multiset_union(lam, mu)
-            out[key] = out.get(key, Fraction(0)) + a * b
-    return tuple(out.items())
-
-
 @lru_cache(maxsize=None)
 def _multiplicative_in_p(base: str, lam) -> tuple:
     """p-expansion of h_lam or e_lam (products over the parts)."""
     single = _h_in_p if base == "h" else _e_in_p
-    out = (((), Fraction(1)),)
+    out = SymFunc.one()
     for part in lam:
-        out = _convolve(out, single(part))
-    return out
+        out = out * SymFunc(dict(single(part)), None, _validate=False)
+    return tuple(out.terms())
 
 
 @lru_cache(maxsize=None)
@@ -523,8 +511,16 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
     return SymFunc(out, None, _validate=False)
 
 
-def _scaled_partition(lam, k: int) -> tuple:
-    return tuple(p * k for p in lam)
+def _pk_plethysm(k: int, g: SymFunc) -> SymFunc:
+    """p_k[g]: every index partition of g with its parts scaled by k.
+
+    A series g known through degree c gives p_k[g] known through k*c.
+    """
+    return SymFunc(
+        {tuple(p * k for p in mu): c for mu, c in g._terms.items()},
+        None if g.cutoff is None else k * g.cutoff,
+        _validate=False,
+    )
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -538,48 +534,17 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         raise ValueError(
             "plethysm of a truncated series by a series with constant term"
         )
-    if f.cutoff is None and g.cutoff is None:
-        cutoff = None
-    elif f.cutoff is None:
-        cutoff = g.cutoff
-    elif g.cutoff is None:
-        cutoff = f.cutoff
-    else:
-        cutoff = min(f.cutoff, g.cutoff)
-
-    pk_cache: dict = {}
-
-    def pk_of_g(k: int) -> dict:
-        if k not in pk_cache:
-            sub = {}
-            for mu, c in g._terms.items():
-                if cutoff is not None and k * sum(mu) > cutoff:
-                    continue
-                sub[_scaled_partition(mu, k)] = c
-            pk_cache[k] = sub
-        return pk_cache[k]
-
+    cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
+    pk = {k: _pk_plethysm(k, g) for lam in f._terms for k in set(lam)}
     out: dict = {}
     for lam, c in f._terms.items():
         if cutoff is not None and not has_constant and sum(lam) > cutoff:
             continue
-        prod = {(): Fraction(1)}
+        prod = SymFunc.one(cutoff)
         for part in lam:
-            sub = pk_of_g(part)
-            nxt: dict = {}
-            for rho, a in prod.items():
-                ra = sum(rho)
-                for sig, b in sub.items():
-                    if cutoff is not None and ra + sum(sig) > cutoff:
-                        continue
-                    key = multiset_union(rho, sig)
-                    nxt[key] = nxt.get(key, Fraction(0)) + a * b
-            prod = nxt
-            if not prod:
-                break
-        for rho, a in prod.items():
-            val = out.get(rho, Fraction(0)) + c * a
-            out[rho] = val
+            prod = prod * pk[part]
+        for rho, a in prod._terms.items():
+            out[rho] = out.get(rho, Fraction(0)) + c * a
     return SymFunc(out, cutoff, _validate=False)
 
 
@@ -613,21 +578,14 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     if name == "Lyndon":
         return lyndon_sf(cutoff)
     terms: dict = {}
-    if name in ("H", "Hplus", "Hgeq2"):
-        skip_sizes = {"H": (), "Hplus": (0,), "Hgeq2": (0, 1)}[name]
-        for n in range(cutoff + 1):
-            if n in skip_sizes:
-                continue
-            for lam in partitions_of(n):
-                terms[lam] = Fraction(1, z_value(lam))
-    elif name == "E":
-        for n in range(cutoff + 1):
-            for lam in partitions_of(n):
-                terms[lam] = Fraction((-1) ** (n - len(lam)), z_value(lam))
-    elif name == "Emin":
-        for n in range(cutoff + 1):
-            for lam in partitions_of(n):
-                terms[lam] = Fraction((-1) ** len(lam), z_value(lam))
+    if name in ("H", "Hplus", "Hgeq2", "E", "Emin"):
+        # Emin is the sum of (-1)^n e_n; the others sum h_n or e_n from n = start.
+        start = {"Hplus": 1, "Hgeq2": 2}.get(name, 0)
+        single = _h_in_p if name[0] == "H" else _e_in_p
+        sign = -1 if name == "Emin" else 1
+        for n in range(start, cutoff + 1):
+            for lam, c in single(n):
+                terms[lam] = c * sign**n
     elif name == "Lsum":
         acc = SymFunc.zero()
         for n in range(1, cutoff + 1):
@@ -670,13 +628,21 @@ def to_serializable(f: SymFunc, basis: str) -> dict:
 
 
 def from_serializable(data: dict) -> SymFunc:
-    """Rebuild a SymFunc from its serialized form."""
+    """Rebuild a SymFunc from its serialized form.
+
+    Raises ValueError on a zero denominator or a term above the cutoff.
+    """
     basis = data["basis"]
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
+    cutoff = data.get("cutoff")
     total = SymFunc.zero()
     for term in data["terms"]:
-        c = Fraction(int(term["num"]), int(term["den"]))
-        total = total + from_basis(basis, as_partition(term["partition"])) * c
-    cutoff = data.get("cutoff")
+        lam = as_partition(term["partition"])
+        if cutoff is not None and sum(lam) > cutoff:
+            raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
+        num, den = int(term["num"]), int(term["den"])
+        if den == 0:
+            raise ValueError(f"zero denominator in the term of {lam}")
+        total = total + from_basis(basis, lam) * Fraction(num, den)
     return total if cutoff is None else total.truncate(cutoff)

@@ -11,8 +11,15 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from symfrob.partitions import conjugate
+from hypothesis import strategies as st
+
+from symfrob.partitions import conjugate, partitions_of
 from symfrob.symfunc import SymFunc, from_basis
+
+
+def partition_up_to(n):
+    """Hypothesis strategy: a partition of size at most n."""
+    return st.integers(0, n).flatmap(lambda k: st.sampled_from(partitions_of(k)))
 
 
 def brute_partitions(n, max_part=None):

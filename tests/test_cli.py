@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfrob.cli import (
     Atom,
@@ -19,7 +21,9 @@ from symfrob.cli import (
     parse_expr,
 )
 from symfrob.frobenius import fsur
-from symfrob.symfunc import from_basis, from_serializable, to_serializable
+from symfrob.symfunc import BASES, from_basis, from_serializable, to_serializable
+
+from helpers import partition_up_to
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +92,33 @@ def test_format_round_trip():
     ):
         tree = parse_expr(text)
         assert parse_expr(format_expr(tree)) == tree
+
+
+_ATOMS = st.builds(Atom, st.sampled_from(BASES), partition_up_to(4))
+_PLAIN_FACTORS = st.one_of(
+    st.builds(IntLit, st.integers(0, 99)), _ATOMS, st.builds(Pow, _ATOMS, st.integers(0, 9))
+)
+
+
+def _expressions(inner):
+    """Trees in the shape the parser builds: sums of products of factors."""
+    factor = st.one_of(_PLAIN_FACTORS, st.builds(Paren, inner))
+    term = st.one_of(
+        factor, st.lists(factor, min_size=2, max_size=3).map(lambda fs: Prod(tuple(fs)))
+    )
+    signed = st.tuples(st.sampled_from("+-"), term)
+    return st.one_of(
+        term,
+        st.tuples(term, st.lists(signed, min_size=1, max_size=3)).map(
+            lambda t: Sum((("+", t[0]),) + tuple(t[1]))
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=st.recursive(_PLAIN_FACTORS, _expressions, max_leaves=12))
+def test_format_round_trip_property(tree):
+    assert parse_expr(format_expr(tree)) == tree
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfrob.frobenius import (
+    _pk_of,
+    _pleth_coeff,
     coeff,
     coeff_table,
     durfee_criterion,
@@ -46,6 +50,7 @@ from helpers import (
     divisible_by_e1_power,
     divisible_by_falling_factorial,
     falling_factorial_e1,
+    partition_up_to,
     random_symfunc,
     words_with_content,
 )
@@ -101,6 +106,35 @@ def test_fsur_preserves_degree_and_leading_term():
             g = fsur(f)
             assert g.degree == f.degree
             assert leading_term(g) == leading_term(f), (basis, lam)
+
+
+# -- the plethysm-coefficient kernel ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["Hplus", "Cadogan", "H"])
+def test_pleth_coeff_matches_general_plethysm(name):
+    for d in range(7):
+        series = standard_series(name, d)
+        for nu in partitions_up_to(d):
+            pleth = plethysm(p(*nu), series)
+            for rho in partitions_of(d):
+                assert _pleth_coeff(name, nu, rho) == pleth.coefficient(rho), (nu, rho)
+
+
+def test_pleth_memo_is_independent_of_call_order():
+    # One memo entry serves every input degree, so filling it from degree 8
+    # first must give what filling it from degree 4 first gives.
+    inputs = {
+        8: [s(4, 2, 1, 1), h(5, 3) - p(2, 2, 2, 2), e(3, 3, 2)],
+        4: [s(2, 1, 1), h(3, 1) + 2 * p(2, 2), e(4)],
+    }
+
+    def transforms(degrees):
+        _pleth_coeff.cache_clear()
+        _pk_of.cache_clear()
+        return {n: [(fsur(f), fsurinv(f)) for f in inputs[n]] for n in degrees}
+
+    assert transforms((8, 4)) == transforms((4, 8))
 
 
 # -- expansion route ------------------------------------------------------------
@@ -165,6 +199,26 @@ def test_inverse_round_trip_schur():
         f = from_basis("s", lam)
         assert fsurinv(fsur(f)) == f
         assert fsur(fsurinv(f)) == f
+
+
+@settings(max_examples=25, deadline=None)
+@given(basis=st.sampled_from(BASES), lam=partition_up_to(6))
+def test_inverse_property(basis, lam):
+    f = from_basis(basis, lam)
+    assert fsurinv(fsur(f)) == f
+    assert fsur(fsurinv(f)) == f
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    bases=st.tuples(st.sampled_from(BASES), st.sampled_from(BASES)),
+    lam=partition_up_to(4),
+    mu=partition_up_to(4),
+)
+def test_product_to_kronecker_property(bases, lam, mu):
+    f, g = from_basis(bases[0], lam), from_basis(bases[1], mu)
+    left = frobenius_series(f * g, 6)
+    assert left == kronecker(frobenius_series(f, 6), frobenius_series(g, 6))
 
 
 def test_iterative_route_agrees():

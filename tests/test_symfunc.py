@@ -31,6 +31,7 @@ from symfrob.symfunc import (
 from helpers import (
     dual_jacobi_trudi,
     h_series_by_exponential,
+    partition_up_to,
     random_symfunc,
     schur_product_by_pieri,
 )
@@ -80,10 +81,6 @@ def test_round_trips_all_bases():
             assert to_basis(f, basis) == {lam: Fraction(1)}, (basis, lam)
 
 
-def _partition_up_to(n):
-    return st.integers(0, n).flatmap(lambda k: st.sampled_from(partitions_of(k)))
-
-
 def _partition_pair_of_equal_size_up_to(n):
     return st.integers(0, n).flatmap(
         lambda k: st.tuples(
@@ -93,7 +90,7 @@ def _partition_pair_of_equal_size_up_to(n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(basis=st.sampled_from(BASES), lam=_partition_up_to(8))
+@given(basis=st.sampled_from(BASES), lam=partition_up_to(8))
 def test_round_trip_property(basis, lam):
     assert to_basis(from_basis(basis, lam), basis) == {lam: Fraction(1)}
 
@@ -437,3 +434,28 @@ def test_serialization_round_trip_and_schema():
     blob2 = to_serializable(series, "h")
     assert blob2["cutoff"] == 3
     assert from_serializable(blob2) == series
+
+
+def test_from_serializable_rejects_term_above_cutoff():
+    blob = {
+        "basis": "p",
+        "terms": [
+            {"partition": [3], "num": "1", "den": "1"},
+            {"partition": [1], "num": "1", "den": "1"},
+        ],
+        "cutoff": 2,
+    }
+    with pytest.raises(ValueError, match="above cutoff"):
+        from_serializable(blob)
+    blob["cutoff"] = 3
+    assert from_serializable(blob) == (p(3) + p(1)).truncate(3)
+
+
+def test_from_serializable_rejects_zero_denominator():
+    blob = {
+        "basis": "s",
+        "terms": [{"partition": [2], "num": "1", "den": "0"}],
+        "cutoff": None,
+    }
+    with pytest.raises(ValueError, match="zero denominator"):
+        from_serializable(blob)
