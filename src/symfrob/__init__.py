@@ -6,6 +6,8 @@ series are degree-truncated with explicit cutoffs, and every transform
 or coefficient is an exact integer or rational, never a float.
 """
 
+import sys
+
 from .partitions import (
     as_partition,
     conjugate,
@@ -76,3 +78,30 @@ from .frobenius import (
 from .oracles import eval_at_unity, frobenius_via_roots, power_value_at_unity
 
 __version__ = "0.1.0"
+
+
+def _caches() -> dict:
+    """Every lru_cache memo defined in a loaded symfrob module, by qualified name."""
+    caches = {}
+    for name, module in sorted(sys.modules.items()):
+        if module is None or not name.startswith("symfrob."):
+            continue
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)) and value.__module__ == name:
+                caches[f"{name}.{value.__qualname__}"] = value
+    return caches
+
+
+def cache_stats() -> dict:
+    """Hits, misses and entries of every memo, by qualified function name."""
+    stats = {}
+    for name, cache in _caches().items():
+        info = cache.cache_info()
+        stats[name] = {"hits": info.hits, "misses": info.misses, "entries": info.currsize}
+    return stats
+
+
+def clear_caches() -> None:
+    """Empty every memo; results are unchanged, only recomputed on demand."""
+    for cache in _caches().values():
+        cache.cache_clear()

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import gcd
+from math import comb, gcd, lcm
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
@@ -26,6 +26,7 @@ from .partitions import (
     durfee,
     hat,
     intersect,
+    multiplicities,
     multiset_diff,
     partition_from_composition,
     partitions_of,
@@ -37,7 +38,6 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
-    _pk_plethysm,
     character_value,
     from_basis,
     hall,
@@ -56,65 +56,93 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 
 
 @lru_cache(maxsize=None)
-def _pk_of(series_name: str, k: int, degree: int) -> dict:
-    """Terms of p_k[g] through the given degree, g the named series.
+def _block_weights(series_name: str, block) -> tuple:
+    """(k, z_block [p_{block/k}] g) for each k dividing every part of block.
 
-    A term of g of degree d lands in degree k*d, so the series is read
-    through degree // k.
+    g is the named standard series, read through degree |block| / k.
+    Only nonzero weights are listed; each must be an integer.
     """
-    return dict(_pk_plethysm(k, standard_series(series_name, degree // k)).terms())
+    z = z_value(block)
+    out = []
+    for k in divisors(gcd(*block)):
+        lam = tuple(part // k for part in block)
+        weight = z * standard_series(series_name, sum(lam)).coefficient(lam)
+        if weight.denominator != 1:
+            raise IntegralityError(
+                f"weight of block {block} under p_{k}[{series_name}] is {weight}"
+            )
+        if weight:
+            out.append((k, int(weight)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _pleth_coeff(series_name: str, nu, rho) -> Fraction:
-    """Coefficient of p_rho in p_nu[g], g the named standard series.
+def _pleth_coeff(series_name: str, rho) -> tuple:
+    """The nonzero (nu, <p_nu[g], p_rho>) pairs, g the named standard series.
 
-    The coefficient reads only the terms of g through degree |rho|, and
-    every standard series but Lyndon is the truncation of one fixed
-    series, so one entry serves every cutoff. Recursion over the parts of
-    nu; at each step the first factor contributes a sub-multiset of rho.
-    Enumerating sub-multisets of rho (always few) and probing the
-    factor's term dict keeps transform extraction fast even when g
-    carries hundreds of terms.
+    Each value is z_rho [p_rho] p_nu[g], an exact int. Pairing a product
+    against p_rho splits the positions of rho into one nonempty block per
+    part of nu, and a part k covers a block when it divides every part of
+    it, with weight z_block [p_{block/k}] g. The recursion takes the block
+    holding rho[0]: rho[0] plus a sub-multiset sigma of the rest, whose
+    positions can be chosen in prod_j comb(m_j(rest), m_j(sigma)) ways;
+    any of the m_k(nu) parts equal to k may cover it. One entry serves
+    every cutoff, since only the terms of g through degree |rho| enter.
+    A series with a constant term is rejected: there nu is unbounded.
     """
-    if not nu:
-        return Fraction(1) if not rho else Fraction(0)
-    pk = _pk_of(series_name, nu[0], sum(rho))
-    rest = nu[1:]
-    total = Fraction(0)
-    for sigma in submultisets(rho):
-        c = pk.get(sigma)
-        if c is not None:
-            sub = _pleth_coeff(series_name, rest, multiset_diff(rho, sigma))
-            if sub:
-                total += c * sub
-    return total
+    if standard_series(series_name, 0).coefficient(()):
+        raise ValueError(f"series {series_name!r} has a constant term")
+    if not rho:
+        return (((), 1),)
+    first, rest = rho[0], rho[1:]
+    available = multiplicities(rest)
+    column: dict = {}
+    for sigma in submultisets(rest):
+        weights = _block_weights(series_name, (first,) + sigma)
+        if not weights:
+            continue
+        ways = 1
+        for part, m in multiplicities(sigma).items():
+            ways *= comb(available[part], m)
+        remainder = _pleth_coeff(series_name, multiset_diff(rest, sigma))
+        for k, weight in weights:
+            scale = ways * weight
+            for nu, value in remainder:
+                # Insert k after the parts >= k; m_k(nu) is then j - i + 1.
+                i = 0
+                while i < len(nu) and nu[i] > k:
+                    i += 1
+                j = i
+                while j < len(nu) and nu[j] == k:
+                    j += 1
+                key = nu[:j] + (k,) + nu[j:]
+                column[key] = column.get(key, 0) + (j - i + 1) * scale * value
+    return tuple((nu, value) for nu, value in column.items() if value)
 
 
 def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """Apply the Hall adjoint of plethysm-by-series to the exact element f.
 
-    The p_nu coefficient of the result is (1/z_nu) sum_rho z_rho f_rho
-    [p_rho](p_nu[series]). Each coefficient depends on the series only
-    through degree |rho|, so the memo is keyed by the series name and
-    shared by inputs of every degree.
+    The p_nu coefficient of the result is (1/z_nu) sum_rho f_rho
+    <p_nu[g], p_rho>. With f's coefficients over one common denominator
+    D, the sum runs in ints along each memoized column, and each output
+    term is the one Fraction total / (D z_nu).
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     if f.is_zero:
         return SymFunc.zero()
-    degree = f.degree
-    items = [(rho, z_value(rho) * c) for rho, c in f.terms()]
-    out = {}
-    for m in range(degree + 1):
-        for nu in partitions_of(m):
-            total = Fraction(0)
-            for rho, zc in items:
-                pc = _pleth_coeff(series_name, nu, rho)
-                if pc:
-                    total += zc * pc
-            if total:
-                out[nu] = total / z_value(nu)
+    denominator = lcm(*(c.denominator for _, c in f.terms()))
+    totals: dict = {}
+    for rho, c in f.terms():
+        a = c.numerator * (denominator // c.denominator)
+        for nu, value in _pleth_coeff(series_name, rho):
+            totals[nu] = totals.get(nu, 0) + a * value
+    out = {
+        nu: Fraction(total, denominator * z_value(nu))
+        for nu, total in totals.items()
+        if total
+    }
     return SymFunc(out, None, _validate=False)
 
 

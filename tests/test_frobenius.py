@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symfrob
 from symfrob.frobenius import (
-    _pk_of,
+    _block_weights,
     _pleth_coeff,
     coeff,
     coeff_table,
@@ -32,9 +34,11 @@ from symfrob.partitions import (
     conjugate,
     partitions_of,
     partitions_up_to,
+    z_value,
 )
 from symfrob.symfunc import (
     BASES,
+    IntegralityError,
     InternalCheckError,
     SymFunc,
     from_basis,
@@ -111,14 +115,40 @@ def test_fsur_preserves_degree_and_leading_term():
 # -- the plethysm-coefficient kernel ------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["Hplus", "Cadogan", "H"])
+@pytest.mark.parametrize("name", ["Hplus", "Cadogan", "Lsum"])
 def test_pleth_coeff_matches_general_plethysm(name):
+    # Each column holds exactly the nonzero <p_nu[g], p_rho> = z_rho [p_rho] p_nu[g].
     for d in range(7):
         series = standard_series(name, d)
+        columns = {rho: dict(_pleth_coeff(name, rho)) for rho in partitions_of(d)}
+        for column in columns.values():
+            assert set(column) <= set(partitions_up_to(d))
+            assert all(type(value) is int and value for value in column.values())
         for nu in partitions_up_to(d):
             pleth = plethysm(p(*nu), series)
-            for rho in partitions_of(d):
-                assert _pleth_coeff(name, nu, rho) == pleth.coefficient(rho), (nu, rho)
+            for rho, column in columns.items():
+                want = z_value(rho) * pleth.coefficient(rho)
+                assert column.get(nu, 0) == want, (nu, rho)
+
+
+def test_pleth_coeff_rejects_series_with_constant_term():
+    for rho in [(), (1,), (2, 1)]:
+        with pytest.raises(ValueError, match="constant term"):
+            _pleth_coeff("H", rho)
+
+
+def test_pleth_coeff_rejects_non_integral_block_weight(monkeypatch):
+    # g = p_1 / 2 gives the block (1,) the weight z_(1) / 2 = 1/2.
+    half_p1 = lambda name, cutoff: SymFunc({(1,): Fraction(1, 2)}).truncate(cutoff)
+    monkeypatch.setattr(symfrob.frobenius, "standard_series", half_p1)
+    _pleth_coeff.cache_clear()
+    _block_weights.cache_clear()
+    try:
+        with pytest.raises(IntegralityError, match="weight of block"):
+            _pleth_coeff("half", (1,))
+    finally:
+        _pleth_coeff.cache_clear()
+        _block_weights.cache_clear()
 
 
 def test_pleth_memo_is_independent_of_call_order():
@@ -131,10 +161,22 @@ def test_pleth_memo_is_independent_of_call_order():
 
     def transforms(degrees):
         _pleth_coeff.cache_clear()
-        _pk_of.cache_clear()
+        _block_weights.cache_clear()
         return {n: [(fsur(f), fsurinv(f)) for f in inputs[n]] for n in degrees}
 
     assert transforms((8, 4)) == transforms((4, 8))
+
+
+def test_clear_caches_empties_every_memo():
+    inputs = [s(5, 2, 1), h(4, 3) - p(3, 3, 1), e(6, 1)]
+    before = [(fsur(f), fsurinv(f)) for f in inputs]
+    stats = symfrob.cache_stats()
+    assert "symfrob.frobenius._pleth_coeff" in stats
+    assert stats["symfrob.frobenius._pleth_coeff"]["entries"] > 0
+    symfrob.clear_caches()
+    stats = symfrob.cache_stats()
+    assert all(entry["entries"] == 0 for entry in stats.values()), stats
+    assert [(fsur(f), fsurinv(f)) for f in inputs] == before
 
 
 # -- expansion route ------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from symfrob.frobenius import frobenius_series
+from symfrob.frobenius import frobenius_series, fsur
 from symfrob.oracles import (
     character_value,
     eval_at_unity,
@@ -59,6 +59,17 @@ def test_roots_route_matches_transform_route():
         for lam in partitions_up_to(4):
             f = from_basis(basis, lam)
             assert frobenius_via_roots(f, 4) == frobenius_series(f, 4), (basis, lam)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fsur_matches_roots_route_times_emin(n):
+    # The full transform is fsur(f) * H and 1/H = Emin, so the roots route
+    # checks the adjoint engine without any plethysm.
+    emin = standard_series("Emin", n)
+    for basis in ("s", "e"):
+        for lam in partitions_of(n):
+            f = from_basis(basis, lam)
+            assert fsur(f).truncate(n) == frobenius_via_roots(f, n) * emin, (basis, lam)
 
 
 def test_character_column_orthogonality():

@@ -436,6 +436,22 @@ def test_serialization_round_trip_and_schema():
     assert from_serializable(blob2) == series
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    source=st.sampled_from(BASES),
+    lam=partition_up_to(6),
+    mu=partition_up_to(6),
+    c=st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    cutoff=st.integers(0, 6),
+)
+def test_serialization_round_trip_property(source, lam, mu, c, cutoff):
+    f = c * from_basis(source, lam) + p(*mu)
+    for basis in BASES:
+        assert from_serializable(to_serializable(f, basis)) == f, basis
+        series = f.truncate(cutoff)
+        assert from_serializable(to_serializable(series, basis)) == series, basis
+
+
 def test_from_serializable_rejects_term_above_cutoff():
     blob = {
         "basis": "p",
