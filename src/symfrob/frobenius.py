@@ -3,11 +3,13 @@
 The surjective transform ``fsur`` is the Hall adjoint of plethysm by the
 positive-degree complete homogeneous series; its inverse ``fsurinv`` is
 the adjoint of plethysm by Cadogan's series. The full transform is
-``fsur(f)`` times the complete homogeneous series. Alongside the adjoint
-engine this module carries the closed-form expansions in the h, e and p
-bases, the word formulas for the inverse in the e basis, the five
-coefficient families (r, t, u, a, b), vanishing bounds, and the Durfee
-square criterion with its witness search.
+``fsur(f)`` times the complete homogeneous series. Each of the five
+coefficient families (r, t, u, a, b) is the Schur matrix of one map built
+from fsur and fsurinv, read one memoized column at a time. Alongside the
+adjoint engine this module carries the closed-form expansions in the h,
+e and p bases, the word formulas for the inverse in the e basis,
+vanishing bounds, and the Durfee square criterion with its witness
+search.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, gcd, lcm
+from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
@@ -40,11 +43,10 @@ from .symfunc import (
     SymFunc,
     character_value,
     from_basis,
-    hall,
     plethysm,
     skew,
     standard_series,
-    to_basis,
+    to_basis_int,
 )
 
 COEFF_KINDS = ("r", "t", "u", "a", "b")
@@ -481,49 +483,43 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
 # -- coefficient families -----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _column(kind: str, lam, maxdeg: int):
+    """Schur coefficients (mu -> int) of one family's map applied to s_lam.
+
+    r: the full transform, through degree maxdeg; t: fsur; u: fsurinv;
+    a: fsur, then skewed by H; b: skewed by Emin, then fsurinv, which
+    inverts the a map because H * Emin = 1. Only r depends on maxdeg;
+    every other image has degree at most |lam|. The read-only mapping is
+    shared by every caller.
+    """
+    f = from_basis("s", lam)
+    if kind == "r":
+        image = frobenius_series(f, maxdeg)
+    elif kind == "t":
+        image = fsur(f)
+    elif kind == "u":
+        image = fsurinv(f)
+    elif kind == "a":
+        image = skew(standard_series("H", sum(lam)), fsur(f))
+    elif kind == "b":
+        image = fsurinv(skew(standard_series("Emin", sum(lam)), f))
+    else:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    return MappingProxyType(to_basis_int(image, "s"))
+
+
 def coeff(kind: str, lam, mu) -> int:
     """One restriction-style coefficient, always an exact integer.
 
-    r pairs against plethysm by H, t by its positive part, u by Cadogan's
-    series; a pairs the surjective transform against s_mu * H; b is the
-    signed transpose pairing against plethysm by the Lyndon sum times H.
-    All plethysms are truncated at |lam|, which the Hall pairing never
-    sees past.
+    The coefficient is the s_mu entry of the family's map applied to
+    s_lam (see ``_column``); the r map is the full transform, so its
+    entry is the multiplicity <s_lam, s_mu[H]>. Shares its memo with
+    ``coeff_table``.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
-    cutoff = sum(lam)
-    s_lam = from_basis("s", lam)
-    if kind == "r":
-        value = hall(s_lam, _schur_plethysm(mu, "H", cutoff))
-    elif kind == "t":
-        value = hall(s_lam, _schur_plethysm(mu, "Hplus", cutoff))
-    elif kind == "u":
-        value = hall(s_lam, _schur_plethysm(mu, "Cadogan", cutoff))
-    elif kind == "a":
-        value = hall(fsur(s_lam), from_basis("s", mu) * standard_series("H", cutoff))
-    elif kind == "b":
-        series = _schur_plethysm(conjugate(mu), "Lsum", cutoff) * standard_series(
-            "H", cutoff
-        )
-        sign = (-1) ** ((sum(lam) - sum(mu)) % 2)
-        value = sign * hall(from_basis("s", conjugate(lam)), series)
-    else:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
-    if value.denominator != 1:
-        raise IntegralityError(f"{kind} coefficient for {lam}, {mu} is {value}")
-    return int(value)
-
-
-def _schur_column(f: SymFunc, index) -> list:
-    coeffs = to_basis(f, "s")
-    column = []
-    for mu in index:
-        c = coeffs.get(mu, Fraction(0))
-        if c.denominator != 1:
-            raise IntegralityError(f"Schur coefficient at {mu} is {c}")
-        column.append(int(c))
-    return column
+    return _column(kind, lam, max(sum(lam), sum(mu))).get(mu, 0)
 
 
 def coeff_table(kind: str, maxdeg: int) -> tuple:
@@ -533,24 +529,9 @@ def coeff_table(kind: str, maxdeg: int) -> tuple:
     matrix entry [i][j] is the coefficient with row index mu = index[i]
     (the module side) and column index lam = index[j].
     """
-    if kind not in COEFF_KINDS:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
     index = partitions_up_to(maxdeg)
-    columns = []
-    for lam in index:
-        s_lam = from_basis("s", lam)
-        if kind == "r":
-            columns.append(_schur_column(frobenius_series(s_lam, maxdeg), index))
-        elif kind == "t":
-            columns.append(_schur_column(fsur(s_lam), index))
-        elif kind == "u":
-            columns.append(_schur_column(fsurinv(s_lam), index))
-        elif kind == "a":
-            stable = skew(standard_series("H", maxdeg), fsur(s_lam))
-            columns.append(_schur_column(stable, index))
-        else:
-            columns.append([coeff("b", lam, mu) for mu in index])
-    matrix = [[columns[j][i] for j in range(len(index))] for i in range(len(index))]
+    columns = [_column(kind, lam, maxdeg) for lam in index]
+    matrix = [[column.get(mu, 0) for column in columns] for mu in index]
     return index, matrix
 
 
@@ -658,14 +639,18 @@ def _schur_at_unity(lam, rho) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def restriction_coeff_eval(lam, mu) -> int:
     """r coefficient by evaluation over cycle types (no plethysm).
 
     Averages the Schur evaluation at permutation eigenvalues against the
-    character of mu. Used by the witness search where the plethysm route
+    character of mu. Used by the witness search where the transform route
     would need degree up to k*|mu|.
     """
+    return _restriction_coeff_eval(as_partition(lam), as_partition(mu))
+
+
+@lru_cache(maxsize=None)
+def _restriction_coeff_eval(lam, mu) -> int:
     n = sum(mu)
     total = Fraction(0)
     for rho in partitions_of(n):
@@ -691,7 +676,7 @@ def witness_search(mu, k: int):
         raise ValueError("k must be at least 1")
     for size in range(k * sum(mu) + 1):
         for lam in partitions_of(size, max_part=k):
-            if restriction_coeff_eval(lam, mu) > 0:
+            if _restriction_coeff_eval(lam, mu) > 0:
                 return lam
     return None
 

@@ -123,6 +123,8 @@ def partitions_of(n: int, max_part=None) -> list:
 
 def partitions_up_to(n: int) -> list:
     """Partitions of 0..n in canonical order: ascending size, then descending lex."""
+    if n < 0:
+        raise ValueError("cannot list partitions up to a negative size")
     out = []
     for m in range(n + 1):
         out.extend(_partitions_of(m, m))

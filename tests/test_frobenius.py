@@ -389,6 +389,13 @@ def test_a_is_delta_below_diagonal():
                 assert coeff("a", lam, mu) == (1 if lam == mu else 0)
 
 
+def test_restriction_coeff_eval_validates_partitions():
+    assert restriction_coeff_eval([2], [2]) == restriction_coeff_eval((2,), (2,)) == 2
+    for lam, mu in (((1, 2), (3,)), ((2,), (1, 1, 0)), ((2,), (-1,))):
+        with pytest.raises(ValueError):
+            restriction_coeff_eval(lam, mu)
+
+
 def test_r_nonnegative_and_eval_route_agrees():
     for lam in partitions_up_to(5):
         for mu in partitions_up_to(5):
@@ -545,12 +552,46 @@ def test_coeff_table_orientation():
     assert matrix[i][i] == coeff("r", (2,), (2,)) == 2
 
 
+def _plethysm_reference(maxdeg):
+    """Each family by its pairing against a general plethysm, through maxdeg."""
+    H = standard_series("H", maxdeg)
+    pleth = {}
+
+    def s_pleth(mu, name):
+        if (mu, name) not in pleth:
+            pleth[mu, name] = plethysm(s(*mu), standard_series(name, maxdeg))
+        return pleth[mu, name]
+
+    def b(lam, mu):
+        sign = (-1) ** ((sum(lam) - sum(mu)) % 2)
+        return sign * hall(s(*conjugate(lam)), s_pleth(conjugate(mu), "Lsum") * H)
+
+    return {
+        "r": lambda lam, mu: hall(s(*lam), s_pleth(mu, "H")),
+        "t": lambda lam, mu: hall(s(*lam), s_pleth(mu, "Hplus")),
+        "u": lambda lam, mu: hall(s(*lam), s_pleth(mu, "Cadogan")),
+        "a": lambda lam, mu: hall(fsur(s(*lam)), s(*mu) * H),
+        "b": b,
+    }
+
+
 def test_table_matches_pointwise():
-    for kind in ("r", "t", "u", "a"):
-        index, matrix = coeff_table(kind, 3)
+    reference = _plethysm_reference(5)
+    for kind in ("r", "t", "u", "a", "b"):
+        index, matrix = coeff_table(kind, 5)
         for i, mu in enumerate(index):
             for j, lam in enumerate(index):
-                assert matrix[i][j] == coeff(kind, lam, mu), (kind, lam, mu)
+                want = reference[kind](lam, mu)
+                assert matrix[i][j] == want == coeff(kind, lam, mu), (kind, lam, mu)
+
+
+def test_negative_degree_raises():
+    with pytest.raises(ValueError):
+        partitions_up_to(-1)
+    with pytest.raises(ValueError):
+        coeff_table("r", -1)
+    with pytest.raises(ValueError):
+        stable_matrix("b", -1)
 
 
 # -- vanishing and Durfee -----------------------------------------------------------------------
