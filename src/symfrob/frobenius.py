@@ -3,9 +3,9 @@
 The surjective transform ``fsur`` is the Hall adjoint of plethysm by the
 positive-degree complete homogeneous series; its inverse ``fsurinv`` is
 the adjoint of plethysm by Cadogan's series. The full transform is
-``fsur(f)`` times the complete homogeneous series. Each of the five
-coefficient families (r, t, u, a, b) is the Schur matrix of one map built
-from fsur and fsurinv, read one memoized column at a time. Alongside the
+``fsur(f)`` times the complete homogeneous series. The coefficient
+families t and u are the Schur matrices of fsur and fsurinv; r, a and b
+are Pieri strip sums over their memoized columns. Alongside the
 adjoint engine this module carries the closed-form expansions in the h,
 e and p bases, the word formulas for the inverse in the e basis,
 vanishing bounds, and the Durfee square criterion with its witness
@@ -484,42 +484,54 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _column(kind: str, lam, maxdeg: int):
+def _horizontal_strips(mu) -> tuple:
+    """Every nu with mu/nu a horizontal strip: mu_(i+1) <= nu_i <= mu_i."""
+    choices = [range(low, high + 1) for high, low in zip(mu, mu[1:] + (0,))]
+    return tuple(tuple(part for part in nu if part) for nu in product(*choices))
+
+
+@lru_cache(maxsize=None)
+def _column(kind: str, lam):
     """Schur coefficients (mu -> int) of one family's map applied to s_lam.
 
-    r: the full transform, through degree maxdeg; t: fsur; u: fsurinv;
-    a: fsur, then skewed by H; b: skewed by Emin, then fsurinv, which
-    inverts the a map because H * Emin = 1. Only r depends on maxdeg;
-    every other image has degree at most |lam|. The read-only mapping is
-    shared by every caller.
+    t: fsur; u: fsurinv; a: fsur, then skewed by H, which by Pieri sums
+    t_lam^nu over nu with nu/mu a horizontal strip; b: skewed by Emin,
+    then fsurinv, which inverts the a map because H * Emin = 1, and sums
+    (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
+    strip. The read-only mapping is shared by every caller.
     """
-    f = from_basis("s", lam)
-    if kind == "r":
-        image = frobenius_series(f, maxdeg)
-    elif kind == "t":
-        image = fsur(f)
-    elif kind == "u":
-        image = fsurinv(f)
-    elif kind == "a":
-        image = skew(standard_series("H", sum(lam)), fsur(f))
+    if kind in ("t", "u"):
+        transform = fsur if kind == "t" else fsurinv
+        return MappingProxyType(to_basis_int(transform(from_basis("s", lam)), "s"))
+    column: dict = {}
+    if kind == "a":
+        for nu, value in _column("t", lam).items():
+            for mu in _horizontal_strips(nu):
+                column[mu] = column.get(mu, 0) + value
     elif kind == "b":
-        image = fsurinv(skew(standard_series("Emin", sum(lam)), f))
+        for kappa in map(conjugate, _horizontal_strips(conjugate(lam))):
+            sign = (-1) ** (sum(lam) - sum(kappa))
+            for mu, value in _column("u", kappa).items():
+                column[mu] = column.get(mu, 0) + sign * value
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    return MappingProxyType(to_basis_int(image, "s"))
+    return MappingProxyType({mu: value for mu, value in column.items() if value})
 
 
 def coeff(kind: str, lam, mu) -> int:
     """One restriction-style coefficient, always an exact integer.
 
     The coefficient is the s_mu entry of the family's map applied to
-    s_lam (see ``_column``); the r map is the full transform, so its
-    entry is the multiplicity <s_lam, s_mu[H]>. Shares its memo with
-    ``coeff_table``.
+    s_lam (see ``_column``). The r map is the full transform fsur * H, so
+    its entry <s_lam, s_mu[H]> sums t_lam^nu over nu with mu/nu a
+    horizontal strip. Shares its memo with ``coeff_table``.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
-    return _column(kind, lam, max(sum(lam), sum(mu))).get(mu, 0)
+    if kind == "r":
+        column = _column("t", lam)
+        return sum(column.get(nu, 0) for nu in _horizontal_strips(mu))
+    return _column(kind, lam).get(mu, 0)
 
 
 def coeff_table(kind: str, maxdeg: int) -> tuple:
@@ -530,36 +542,31 @@ def coeff_table(kind: str, maxdeg: int) -> tuple:
     (the module side) and column index lam = index[j].
     """
     index = partitions_up_to(maxdeg)
-    columns = [_column(kind, lam, maxdeg) for lam in index]
-    matrix = [[column.get(mu, 0) for column in columns] for mu in index]
+    matrix = [[coeff(kind, lam, mu) for lam in index] for mu in index]
     return index, matrix
 
 
-def stable_matrix(kind: str, maxdeg: int, verify=None) -> tuple:
+def stable_matrix(kind: str, maxdeg: int) -> tuple:
     """(index, matrix) for the stable families a and b.
 
-    The b table is the inverse of the a table. With ``verify`` (the
-    default for maxdeg <= 6) the closed formula for b is checked by
-    b·a = I in exact integer arithmetic, which for square matrices is
-    b = a^-1. A mismatch is an internal error, never returned.
+    The b table is the inverse of the a table. Through degree 6 the strip
+    formula for b is checked by exact integer b·a = I, which for square
+    matrices is b = a^-1; a mismatch is an internal error, never returned.
     """
     if kind not in ("a", "b"):
         raise ValueError("stable_matrix covers kinds 'a' and 'b'")
     index, matrix = coeff_table(kind, maxdeg)
-    if kind == "b":
-        if verify is None:
-            verify = maxdeg <= 6
-        if verify:
-            _, a_matrix = coeff_table("a", maxdeg)
-            size = len(index)
-            for i, row in enumerate(matrix):
-                for j in range(size):
-                    entry = sum(row[k] * a_matrix[k][j] for k in range(size))
-                    if entry != (i == j):
-                        raise InternalCheckError(
-                            "b formula times the a table is not the identity "
-                            f"at ({index[i]}, {index[j]})"
-                        )
+    if kind == "b" and maxdeg <= 6:
+        _, a_matrix = coeff_table("a", maxdeg)
+        size = len(index)
+        for i, row in enumerate(matrix):
+            for j in range(size):
+                entry = sum(row[k] * a_matrix[k][j] for k in range(size))
+                if entry != (i == j):
+                    raise InternalCheckError(
+                        "b formula times the a table is not the identity "
+                        f"at ({index[i]}, {index[j]})"
+                    )
     return index, matrix
 
 

@@ -11,20 +11,28 @@ from functools import lru_cache
 from math import factorial
 
 
+def _integers(parts) -> tuple:
+    """The entries of *parts* as ints; a non-integral entry raises ValueError."""
+    raw = tuple(parts)
+    out = tuple(map(int, raw))
+    if out != raw:
+        raise ValueError(f"parts must be integers, got {raw}")
+    return out
+
+
 def as_partition(parts) -> tuple:
     """Validate *parts* as a partition and return it as a tuple."""
-    lam = tuple(int(p) for p in parts)
-    for i, p in enumerate(lam):
-        if p < 1:
-            raise ValueError(f"partition parts must be positive, got {lam}")
-        if i > 0 and lam[i - 1] < p:
-            raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
+    lam = _integers(parts)
+    if list(lam) != sorted(lam, reverse=True):
+        raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
+    if lam and lam[-1] < 1:
+        raise ValueError(f"partition parts must be positive, got {lam}")
     return lam
 
 
 def partition_from_composition(parts) -> tuple:
     """Sort a sequence of nonnegative integers into a partition, dropping zeros."""
-    comp = [int(p) for p in parts]
+    comp = _integers(parts)
     if any(p < 0 for p in comp):
         raise ValueError(f"composition entries must be nonnegative, got {parts}")
     return tuple(sorted((p for p in comp if p), reverse=True))

@@ -245,16 +245,26 @@ class SymFunc:
 
 
 @lru_cache(maxsize=None)
+def _partition_set(n: int) -> frozenset:
+    """The partitions of n, for the membership test in ``character_value``."""
+    return frozenset(partitions_of(n))
+
+
+@lru_cache(maxsize=None)
 def character_value(lam, mu) -> int:
     """Irreducible symmetric group character chi_lam at the class mu.
 
     Border strip (Murnaghan-Nakayama) recursion on beta numbers: removing
     a strip of size mu_0 subtracts mu_0 from one beta number, and the sign
-    is the number of beta numbers jumped over.
+    is the number of beta numbers jumped over. Both arguments must be
+    partitions of one size; the check runs once per memo key.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
+    size = sum(lam)
+    if sum(mu) != size:
         raise ValueError(f"character needs |lam| = |mu|, got {lam} and {mu}")
+    partitions = _partition_set(int(size))
+    if lam not in partitions or mu not in partitions:
+        raise ValueError(f"character needs two partitions, got {lam} and {mu}")
     if not lam:
         return 1
     k, rest = mu[0], mu[1:]

@@ -186,7 +186,7 @@ def test_criterion_06_stable_coefficients():
             assert a_matrix[i][j] == 0
     # b by the closed formula; construction itself verifies it equals the
     # inverse of the a table (InternalCheckError otherwise)
-    index_b, b_matrix = stable_matrix("b", 6, verify=True)
+    index_b, b_matrix = stable_matrix("b", 6)
     assert index_b == index
     for i in range(n):
         for j in range(n):

@@ -1,4 +1,5 @@
-"""Every name a symfrob module imports is used there or exported by __all__."""
+"""Every name a symfrob module imports is used there or exported by __all__,
+and every private module-level helper is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,56 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
     assert unused_imports(source) == [(1, "path"), (2, "json")]
+
+
+def private_helpers(tree) -> list:
+    """Module-level functions and classes whose name has one leading underscore."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def dead_helpers(sources: dict) -> list:
+    """(module, name) of each private helper referenced nowhere outside its own body.
+
+    A reference is a bare name, an attribute or an imported name, in any
+    module of the package; one inside the helper's own definition (its
+    recursion) does not count.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced_from: dict = {}
+    for tree in trees.values():
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                referenced_from.setdefault(name, set()).add(id(statement))
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in private_helpers(tree)
+        if not referenced_from.get(node.name, set()) - {id(node)}
+    )
+
+
+def test_no_dead_helpers():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_is_reported():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    return _dead()\n",
+        "b.py": "from a import _used\n\n\nclass _Gone:\n    pass\n\n\nx = _used()\n",
+    }
+    assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]

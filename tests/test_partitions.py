@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from symfrob.frobenius import coeff, fsur_h_direct
 from symfrob.partitions import (
     as_partition,
     canonical_key,
@@ -18,6 +19,7 @@ from symfrob.partitions import (
     stable_pad,
     z_value,
 )
+from symfrob.symfunc import SymFunc
 
 from helpers import brute_partitions
 
@@ -29,6 +31,14 @@ def test_as_partition_validates():
         as_partition([1, 2])
     with pytest.raises(ValueError):
         as_partition([2, 0])
+    assert as_partition([2.0, 1]) == (2, 1)
+    # A non-integral part raises instead of being truncated.
+    with pytest.raises(ValueError):
+        as_partition([2.5, 1.9])
+    with pytest.raises(ValueError):
+        coeff("t", [2.7], [2.2])
+    with pytest.raises(ValueError):
+        SymFunc({(1.5,): 1})
 
 
 def test_partition_from_composition():
@@ -36,6 +46,10 @@ def test_partition_from_composition():
     assert partition_from_composition([]) == ()
     with pytest.raises(ValueError):
         partition_from_composition([1, -1])
+    with pytest.raises(ValueError):
+        partition_from_composition([2.5, 0, 1.2])
+    with pytest.raises(ValueError):
+        fsur_h_direct((1.7,))
 
 
 @pytest.mark.parametrize(

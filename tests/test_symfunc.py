@@ -417,6 +417,12 @@ def test_character_examples():
         character_value((2,), (3,))
 
 
+@pytest.mark.parametrize("lam,mu", [((1, 2), (3,)), ((2,), (1, 1, 0)), ((2, 0), (2,))])
+def test_character_rejects_non_partitions(lam, mu):
+    with pytest.raises(ValueError):
+        character_value(lam, mu)
+
+
 # -- serialization ----------------------------------------------------------------------
 
 
