@@ -23,6 +23,7 @@ from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
+    _integers,
     as_partition,
     conjugate,
     divisors,
@@ -371,7 +372,7 @@ def fsurinv_e_words(alpha) -> SymFunc:
     indexed by the multiplicity partition of its Lyndon factorization,
     signed by size minus number of factors.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _integers(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("content entries must be nonnegative")
     total = sum(alpha)

@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import as_partition, divisors, multiplicities, partitions_of, z_value
-from .symfunc import SymFunc, character_value
+from .symfunc import SymFunc
 
 __all__ = [
-    "character_value",
     "eval_at_unity",
     "frobenius_via_roots",
     "power_value_at_unity",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .partitions import (
     as_partition,
@@ -66,6 +67,8 @@ class SymFunc:
 
     def __init__(self, terms=None, cutoff=None, _validate=True):
         if cutoff is not None:
+            if int(cutoff) != cutoff:
+                raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
             cutoff = int(cutoff)
             if cutoff < 0:
                 raise ValueError("cutoff must be nonnegative")
@@ -321,47 +324,43 @@ def _multiplicative_in_p(base: str, lam) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _p_in_h(nu) -> tuple:
+    """p_nu in the h basis, as (mu, int) pairs.
+
+    Newton's identity (Macdonald I.2.14') gives p_k as the sum over
+    lam of k of (-1)^(l-1) k (l-1)! / prod_i m_i(lam)! h_lam, l = len(lam).
+    p_nu is the product of these over its parts, taken one part at a time;
+    h_lam h_mu is h of the multiset union.
+    """
+    if not nu:
+        return (((), 1),)
+    k = nu[0]
+    out = {}
+    for lam in partitions_of(k):
+        c = (-1) ** (len(lam) - 1) * k * factorial(len(lam) - 1)
+        for m in multiplicities(lam).values():
+            c //= factorial(m)
+        for mu, d in _p_in_h(nu[1:]):
+            key = multiset_union(lam, mu)
+            out[key] = out.get(key, 0) + c * d
+    return tuple((mu, c) for mu, c in out.items() if c)
+
+
+@lru_cache(maxsize=None)
 def _m_in_p_degree(n: int) -> dict:
     """p-expansions of all monomial symmetric functions of degree n.
 
-    m is the Hall dual of h, so the Gram matrix G[lam][nu] = <h_lam, p_nu>
-    = z_nu [p_nu] h_lam is the integer p-to-m matrix: p_nu is the sum of
-    G[lam][nu] m_lam. p_nu expands over the coarsenings lam of nu (merge
-    parts of nu into blocks), and a coarsening comes before nu in
-    partitions_of order, so G is upper triangular with diagonal
-    prod m_i(nu)!. The table is built by back substitution on the integer
-    p-to-m matrix: m_nu is p_nu minus the already known G[lam][nu] m_lam,
-    divided by the diagonal entry.
+    m is the Hall dual of h (Macdonald I.4), so [p_nu] m_mu is
+    <p_nu, m_mu> / z_nu = [h_mu] p_nu / z_nu: the table is the transpose
+    of the integer p-to-h expansions of ``_p_in_h``. Each m_mu lists its
+    terms with nu in ``partitions_of`` order.
     """
-    parts = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    diagonal = [0] * len(parts)
-    # above[j] lists (lam, G[lam][nu]) for nu = parts[j] and lam before nu.
-    above = [[] for _ in parts]
-    for i, lam in enumerate(parts):
-        for nu, c in _multiplicative_in_p("h", lam):
-            j = index[nu]
-            if j < i:
-                raise InternalCheckError(
-                    f"p-to-m matrix is not upper triangular at ({lam}, {nu})"
-                )
-            if j == i:
-                diagonal[j] = c * z_value(nu)
-            else:
-                above[j].append((lam, c * z_value(nu)))
-    table = {}
-    for j, nu in enumerate(parts):
-        acc = {nu: Fraction(1)}
-        for lam, g in above[j]:
-            for rho, c in table[lam]:
-                acc[rho] = acc.get(rho, 0) - g * c
-        d = diagonal[j]
-        table[nu] = tuple(
-            (rho, acc[rho] / d)
-            for rho in sorted(acc, key=index.__getitem__)
-            if acc[rho]
-        )
-    return table
+    table = {mu: [] for mu in partitions_of(n)}
+    for nu in partitions_of(n):
+        z = z_value(nu)
+        for mu, c in _p_in_h(nu):
+            table[mu].append((nu, Fraction(c, z)))
+    return {mu: tuple(pairs) for mu, pairs in table.items()}
 
 
 def from_basis(basis: str, lam) -> SymFunc:

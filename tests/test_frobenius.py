@@ -340,6 +340,20 @@ def test_fsurinv_e_words_composition_invariance():
     assert fsurinv_e_words((1, 2)) == fsurinv_e_words((2, 1))
 
 
+@pytest.mark.parametrize(
+    "make,integral,fractional",
+    [
+        (lambda c: SymFunc({(1,): 1}, c), 2.0, 2.5),
+        (lambda a: fsurinv_e_words([a]), 1.0, 1.5),
+    ],
+    ids=["cutoff", "content"],
+)
+def test_non_integral_input_raises(make, integral, fractional):
+    assert make(integral) == make(int(integral))
+    with pytest.raises(ValueError, match="integer"):
+        make(fractional)
+
+
 def test_fsurinv_h_direct_values():
     assert fsurinv_h_direct(0) == SymFunc.one()
     assert fsurinv_h_direct(1) == h(1)

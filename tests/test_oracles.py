@@ -4,13 +4,18 @@ import pytest
 
 from symfrob.frobenius import frobenius_series, fsur
 from symfrob.oracles import (
-    character_value,
     eval_at_unity,
     frobenius_via_roots,
     power_value_at_unity,
 )
 from symfrob.partitions import partitions_of, partitions_up_to, z_value
-from symfrob.symfunc import BASES, SymFunc, from_basis, standard_series
+from symfrob.symfunc import (
+    BASES,
+    SymFunc,
+    character_value,
+    from_basis,
+    standard_series,
+)
 
 
 def test_power_values():
