@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
-from math import comb, gcd, lcm
+from math import comb, gcd
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
@@ -42,7 +42,8 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
-    character_value,
+    _character_value,
+    _int_column_sum,
     from_basis,
     plethysm,
     skew,
@@ -133,14 +134,7 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
-    if f.is_zero:
-        return SymFunc.zero()
-    denominator = lcm(*(c.denominator for _, c in f.terms()))
-    totals: dict = {}
-    for rho, c in f.terms():
-        a = c.numerator * (denominator // c.denominator)
-        for nu, value in _pleth_coeff(series_name, rho):
-            totals[nu] = totals.get(nu, 0) + a * value
+    totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
     out = {
         nu: Fraction(total, denominator * z_value(nu))
         for nu, total in totals.items()
@@ -662,7 +656,7 @@ def _restriction_coeff_eval(lam, mu) -> int:
     n = sum(mu)
     total = Fraction(0)
     for rho in partitions_of(n):
-        chi = character_value(mu, rho)
+        chi = _character_value(mu, rho)
         if chi:
             total += Fraction(chi, z_value(rho)) * _schur_at_unity(lam, rho)
     if total.denominator != 1:

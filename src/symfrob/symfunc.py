@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .partitions import (
     as_partition,
@@ -247,27 +247,25 @@ class SymFunc:
 # -- characters and basis expansions ------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _partition_set(n: int) -> frozenset:
-    """The partitions of n, for the membership test in ``character_value``."""
-    return frozenset(partitions_of(n))
-
-
-@lru_cache(maxsize=None)
 def character_value(lam, mu) -> int:
     """Irreducible symmetric group character chi_lam at the class mu.
 
+    Both arguments must be partitions of one size, as tuples or lists.
+    """
+    lam, mu = as_partition(lam), as_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"character needs |lam| = |mu|, got {lam} and {mu}")
+    return _character_value(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _character_value(lam, mu) -> int:
+    """chi_lam(mu) for two partition tuples of one size, unchecked.
+
     Border strip (Murnaghan-Nakayama) recursion on beta numbers: removing
     a strip of size mu_0 subtracts mu_0 from one beta number, and the sign
-    is the number of beta numbers jumped over. Both arguments must be
-    partitions of one size; the check runs once per memo key.
+    is the number of beta numbers jumped over.
     """
-    size = sum(lam)
-    if sum(mu) != size:
-        raise ValueError(f"character needs |lam| = |mu|, got {lam} and {mu}")
-    partitions = _partition_set(int(size))
-    if lam not in partitions or mu not in partitions:
-        raise ValueError(f"character needs two partitions, got {lam} and {mu}")
     if not lam:
         return 1
     k, rest = mu[0], mu[1:]
@@ -284,7 +282,7 @@ def character_value(lam, mu) -> int:
         newlam = tuple(
             c - (n - 1 - i) for i, c in enumerate(newbeta) if c - (n - 1 - i) > 0
         )
-        total += (-1) ** height * character_value(newlam, rest)
+        total += (-1) ** height * _character_value(newlam, rest)
     return total
 
 
@@ -307,7 +305,7 @@ def _s_in_p(lam) -> tuple:
     n = sum(lam)
     out = []
     for mu in partitions_of(n):
-        chi = character_value(lam, mu)
+        chi = _character_value(lam, mu)
         if chi:
             out.append((mu, Fraction(chi, z_value(mu))))
     return tuple(out)
@@ -347,13 +345,35 @@ def _p_in_h(nu) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _p_in_m(nu) -> tuple:
+    """p_nu in the m basis, as (mu, int) pairs.
+
+    [m_mu] p_nu = <p_nu, h_mu>, the matrix L(p, m) of Macdonald I.6. p_nu
+    is built one part k at a time: p_k m_mu is the sum of m_mu' over the
+    mu' made by adding k to one part value v of mu (v = 0 appends k),
+    each with coefficient m_{v+k}(mu'), the number of parts of mu' that
+    p_k can have supplied.
+    """
+    if not nu:
+        return (((), 1),)
+    k = nu[0]
+    out = {}
+    for mu, c in _p_in_m(nu[1:]):
+        for v in (0, *multiplicities(mu)):
+            key = multiset_union(multiset_diff(mu, (v,)) if v else mu, (v + k,))
+            out[key] = out.get(key, 0) + c * key.count(v + k)
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def _m_in_p_degree(n: int) -> dict:
     """p-expansions of all monomial symmetric functions of degree n.
 
     m is the Hall dual of h (Macdonald I.4), so [p_nu] m_mu is
     <p_nu, m_mu> / z_nu = [h_mu] p_nu / z_nu: the table is the transpose
     of the integer p-to-h expansions of ``_p_in_h``. Each m_mu lists its
-    terms with nu in ``partitions_of`` order.
+    terms with nu in ``partitions_of`` order. Only ``from_basis("m")``
+    reads it; conversions into m use the columns of ``_p_in_m``.
     """
     table = {mu: [] for mu in partitions_of(n)}
     for nu in partitions_of(n):
@@ -379,24 +399,42 @@ def from_basis(basis: str, lam) -> SymFunc:
     return SymFunc(dict(pairs), None, _validate=False)
 
 
+def _int_column_sum(f: SymFunc, column) -> tuple:
+    """Sum f's coefficients along memoized integer columns: (totals, D).
+
+    D is the common denominator of f's coefficients, so a_nu = D f_nu is
+    an int, and totals[mu] is the int sum of a_nu * c over the terms nu
+    of f and the pairs (mu, c) of ``column(nu)``. Totals that cancel to
+    0 are kept; the callers drop them as they build their Fractions.
+    """
+    denominator = lcm(*(c.denominator for c in f._terms.values()))
+    totals: dict = {}
+    for nu, c in f._terms.items():
+        a = c.numerator * (denominator // c.denominator)
+        for mu, value in column(nu):
+            totals[mu] = totals.get(mu, 0) + a * value
+    return totals, denominator
+
+
 def to_basis(f: SymFunc, basis: str) -> dict:
     """Expand f in the given basis: mapping partition -> Fraction.
 
-    For a series the expansion covers degrees up to the cutoff. The m and
-    h coefficients come from Hall duality (pair against h and m), the e
-    coefficients are the h coefficients of the degree involution, and the
-    Schur coefficients are character sums.
+    For a series the expansion covers degrees up to the cutoff. The h and
+    m coefficients sum each term f_nu p_nu along the integer column of
+    p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), the
+    e coefficients are the h coefficients of the degree involution, and
+    the Schur coefficients are character sums.
     """
     if basis == "p":
         return dict(f._terms)
-    out = {}
     if basis == "s":
+        out = {}
         degrees = {sum(lam) for lam in f._terms}
         for n in degrees:
             for lam in partitions_of(n):
                 c = sum(
                     (
-                        character_value(lam, mu) * f._terms[mu]
+                        _character_value(lam, mu) * f._terms[mu]
                         for mu in partitions_of(n)
                         if mu in f._terms
                     ),
@@ -407,23 +445,14 @@ def to_basis(f: SymFunc, basis: str) -> dict:
         return out
     if basis == "e":
         return to_basis(omega(f), "h")
-    if basis == "m":
-        dual = lambda mu: _multiplicative_in_p("h", mu)
-    elif basis == "h":
-        dual = lambda mu: _m_in_p_degree(sum(mu))[mu]
+    if basis == "h":
+        column = _p_in_h
+    elif basis == "m":
+        column = _p_in_m
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    degrees = {sum(lam) for lam in f._terms}
-    for n in degrees:
-        for mu in partitions_of(n):
-            c = sum(
-                (f._terms[nu] * z_value(nu) * coef for nu, coef in dual(mu)
-                 if nu in f._terms),
-                Fraction(0),
-            )
-            if c:
-                out[mu] = c
-    return out
+    totals, denominator = _int_column_sum(f, column)
+    return {mu: Fraction(total, denominator) for mu, total in totals.items() if total}
 
 
 def to_basis_int(f: SymFunc, basis: str) -> dict:

@@ -32,6 +32,7 @@ from symfrob.frobenius import (
 )
 from symfrob.partitions import (
     conjugate,
+    durfee,
     partitions_of,
     partitions_up_to,
     z_value,
@@ -671,6 +672,16 @@ def test_durfee_examples():
         k = max(1, len(mu))
         if 2 ** (k - 1) >= len(mu):
             assert durfee_criterion(mu, k)
+
+
+def test_durfee_bound_is_tight_at_k3():
+    # Durfee square 4 = 2^(3-1): the largest square the k=3 criterion allows.
+    mu = (4, 4, 4, 4)
+    assert durfee(mu) == 4 == 2 ** (3 - 1)
+    assert durfee_criterion(mu, 3)
+    lam = witness_search(mu, 3)
+    assert lam is not None and lam[0] <= 3
+    assert coeff("r", lam, mu) > 0
 
 
 def test_witness_search_returns_valid_witness():

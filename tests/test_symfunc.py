@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symfrob
 from symfrob.partitions import conjugate, partitions_of, partitions_up_to, z_value
 from symfrob.symfunc import (
     BASES,
@@ -12,6 +13,7 @@ from symfrob.symfunc import (
     PrecisionError,
     SymFunc,
     _p_in_h,
+    _p_in_m,
     character_value,
     from_basis,
     from_serializable,
@@ -102,6 +104,71 @@ def test_p_in_h_sums_to_power_sum():
             assert type(c) is int, (nu, mu)
             total = total + from_basis("h", mu) * c
         assert total == from_basis("p", nu), nu
+
+
+def test_p_in_m_is_pairing_with_h():
+    for nu in partitions_up_to(8):
+        column = dict(_p_in_m(nu))
+        assert all(type(c) is int for c in column.values()), nu
+        assert set(column) <= set(partitions_of(sum(nu))), nu
+        for mu in partitions_of(sum(nu)):
+            want = hall(from_basis("p", nu), from_basis("h", mu))
+            assert column.get(mu, 0) == want, (nu, mu)
+
+
+def _hall_dual_expansion(f, basis):
+    """[basis_mu] f as the pairing of f with the Hall dual basis element."""
+    dual = {"m": "h", "h": "m"}[basis]
+    out = {}
+    for n in {sum(nu) for nu, _ in f.terms()}:
+        for mu in partitions_of(n):
+            c = hall(f, from_basis(dual, mu))
+            if c:
+                out[mu] = c
+    return out
+
+
+def _assert_matches_hall_duality(f):
+    for basis in ("m", "h"):
+        assert to_basis(f, basis) == _hall_dual_expansion(f, basis), (f, basis)
+
+
+def test_h_and_m_expansions_match_hall_duality():
+    for src in ("s", "p", "h", "e"):
+        for lam in partitions_up_to(7):
+            _assert_matches_hall_duality(from_basis(src, lam))
+    _assert_matches_hall_duality(SymFunc.zero())
+    series = s(3, 1) - Fraction(2, 3) * p(4, 1) + e(2)
+    _assert_matches_hall_duality(series.truncate(5))
+    _assert_matches_hall_duality(standard_series("Cadogan", 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(BASES),
+            partition_up_to(6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        ),
+        max_size=4,
+    )
+)
+def test_h_and_m_expansions_match_hall_duality_property(combination):
+    f = SymFunc.zero()
+    for basis, lam, c in combination:
+        f = f + from_basis(basis, lam) * c
+    _assert_matches_hall_duality(f)
+
+
+def test_h_e_m_conversion_skips_the_p_expansion_memos():
+    f = s(4, 3, 2) + Fraction(1, 2) * p(9) - h(5, 4)
+    symfrob.clear_caches()
+    for basis in ("h", "e", "m"):
+        to_basis(f, basis)
+    stats = symfrob.cache_stats()
+    for memo in ("_multiplicative_in_p", "_m_in_p_degree"):
+        assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
 def test_integral_transition_between_integral_bases():
@@ -400,6 +467,9 @@ def test_character_examples():
             assert character_value((n,), mu) == 1
     assert character_value((1, 1), (2,)) == -1
     assert character_value((2, 1), (1, 1, 1)) == 2
+    assert character_value([2, 1], [1, 1, 1]) == 2
+    with pytest.raises(ValueError):
+        character_value([1, 2], [3])
     with pytest.raises(ValueError):
         character_value((2,), (3,))
 
