@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import frobenius as frob
 from .lyndon import format_factorization, parse_word, pi_of_word
@@ -51,36 +50,86 @@ class ExprError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """Immutable expression node with slotted fields.
+
+    A node equals only a node of the same class with equal fields, so
+    IntLit(2) != Paren(2); equal nodes hash equal. Plain classes rather
+    than dataclasses keep ``dataclasses`` and its import chain out of
+    every CLI process.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an expression node")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Atom:
-    basis: str
-    index: tuple
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class Pow:
-    atom: Atom
-    exponent: int
+class Atom(_Node):
+    __slots__ = ("basis", "index")
+
+    def __init__(self, basis: str, index: tuple):
+        super().__init__(basis, index)
 
 
-@dataclass(frozen=True)
-class Paren:
-    inner: object
+class Pow(_Node):
+    __slots__ = ("atom", "exponent")
+
+    def __init__(self, atom: Atom, exponent: int):
+        super().__init__(atom, exponent)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Paren(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: object):
+        super().__init__(inner)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node), first sign always '+'
+class Prod(_Node):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        super().__init__(factors)
+
+
+class Sum(_Node):
+    __slots__ = ("terms",)  # of (sign, node), first sign always '+'
+
+    def __init__(self, terms: tuple):
+        super().__init__(terms)
 
 
 class _ExprParser:
@@ -432,11 +481,13 @@ def _cmd_lyndon(args):
 
 def _nonnegative_int(text: str) -> int:
     """argparse type for degree bounds: a nonnegative integer."""
-    value = int(text)
+    error = argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, got {text!r}"
-        )
+        raise error
     return value
 
 
@@ -466,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--expr", required=True, help='e.g. "p[3]^2 - 2*e[1,1]"')
     p_tr.add_argument(
         "--cutoff",
-        type=int,
+        type=_nonnegative_int,
         help="series degree bound; for --op f the default is deg(expr) + 4",
     )
     p_tr.add_argument("--basis", required=True, choices=BASES)

@@ -521,8 +521,11 @@ def coeff(kind: str, lam, mu) -> int:
     its entry <s_lam, s_mu[H]> sums t_lam^nu over nu with mu/nu a
     horizontal strip. Shares its memo with ``coeff_table``.
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
+    return _coeff(kind, as_partition(lam), as_partition(mu))
+
+
+def _coeff(kind: str, lam: tuple, mu: tuple) -> int:
+    """``coeff`` on partitions already validated as canonical tuples."""
     if kind == "r":
         column = _column("t", lam)
         return sum(column.get(nu, 0) for nu in _horizontal_strips(mu))
@@ -537,7 +540,7 @@ def coeff_table(kind: str, maxdeg: int) -> tuple:
     (the module side) and column index lam = index[j].
     """
     index = partitions_up_to(maxdeg)
-    matrix = [[coeff(kind, lam, mu) for lam in index] for mu in index]
+    matrix = [[_coeff(kind, lam, mu) for lam in index] for mu in index]
     return index, matrix
 
 

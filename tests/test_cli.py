@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -119,6 +120,34 @@ def _expressions(inner):
 @given(tree=st.recursive(_PLAIN_FACTORS, _expressions, max_leaves=12))
 def test_format_round_trip_property(tree):
     assert parse_expr(format_expr(tree)) == tree
+
+
+def test_node_value_semantics():
+    # Nodes of different classes never compare equal, even with equal fields.
+    assert IntLit(2) != Paren(2)
+    assert Prod((IntLit(2),)) != Sum((IntLit(2),))
+    assert IntLit(2) != 2
+    # Equal nodes hash equal, so nodes work as dict keys and set members.
+    tree = parse_expr("p[3]^2 - 2*(e[1,1] + 3)")
+    again = parse_expr("p[3]^2 - 2*(e[1,1] + 3)")
+    assert tree == again and tree is not again
+    assert hash(tree) == hash(again)
+    assert len({tree, again, Atom("p", (3,))}) == 2
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    # Fields are read-only.
+    node = Atom("h", (2, 1))
+    with pytest.raises(AttributeError):
+        node.basis = "e"
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    with pytest.raises(AttributeError):
+        del node.index
+    assert node == Atom(basis="h", index=(2, 1))
+    # repr names the class and each field.
+    assert repr(Pow(Atom("p", (3,)), 2)) == (
+        "Pow(atom=Atom(basis='p', index=(3,)), exponent=2)"
+    )
+    assert repr(Sum((("+", IntLit(1)),))) == "Sum(terms=(('+', IntLit(value=1)),))"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -274,6 +303,17 @@ def test_negative_maxdeg_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("cutoff", ["-1", "x"])
+def test_bad_cutoff_exits_one(capsys, cutoff):
+    code, out, err = run_cli(
+        capsys, "transform", "--op", "fsur", "--expr", "h[2]", "--basis", "h", "--cutoff", cutoff
+    )
+    assert code == 1
+    assert out == ""
+    assert "argument --cutoff" in err
     assert "nonnegative" in err
 
 

@@ -625,6 +625,27 @@ def test_table_matches_pointwise():
                 assert matrix[i][j] == want == coeff(kind, lam, mu), (kind, lam, mu)
 
 
+def test_table_does_not_revalidate_entries(monkeypatch):
+    # Only coeff validates its arguments; a table reads the memoized
+    # columns over partitions_up_to directly, so a warm table makes no
+    # as_partition call at all where coeff would make two per entry.
+    from symfrob import frobenius, partitions, symfunc
+
+    index, warm = coeff_table("t", 5)
+    calls = []
+
+    def counting(parts):
+        calls.append(parts)
+        return partitions.as_partition(parts)
+
+    for module in (frobenius, symfunc):
+        monkeypatch.setattr(module, "as_partition", counting)
+    assert coeff_table("t", 5) == (index, warm)
+    assert calls == []
+    coeff("t", index[3], index[2])
+    assert len(calls) == 2
+
+
 def test_r_read_keeps_one_column():
     symfrob.clear_caches()
     for mu in partitions_up_to(6):

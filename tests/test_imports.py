@@ -1,7 +1,11 @@
-"""Every name a symfrob module imports is used there, and every private
-module-level helper is used somewhere in the package."""
+"""Every name a symfrob module imports is used there, every private
+module-level helper is used somewhere in the package, and the CLI loads
+no standard library module beyond what its own imports need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +94,28 @@ def test_dead_helper_is_reported():
         "b.py": "from a import _used\n\n\nclass _Gone:\n    pass\n\n\nx = _used()\n",
     }
     assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]
+
+
+def test_cli_import_budget():
+    # Each CLI command is one interpreter, so every module symfrob.cli pulls
+    # in is paid on every command; dataclasses alone (with inspect, ast,
+    # dis and tokenize) once cost about 17 ms. The baseline is the standard
+    # library the CLI needs anyway.
+    script = (
+        "import sys\n"
+        "import argparse, fractions, json\n"
+        "before = set(sys.modules)\n"
+        "import symfrob.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    extra = [
+        name
+        for name in proc.stdout.split()
+        if name != "__future__" and name != "symfrob" and not name.startswith("symfrob.")
+    ]
+    assert extra == []
