@@ -44,6 +44,7 @@ from .symfunc import (
     SymFunc,
     _character_value,
     _int_column_sum,
+    _series_coefficient,
     from_basis,
     plethysm,
     skew,
@@ -63,14 +64,14 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 def _block_weights(series_name: str, block) -> tuple:
     """(k, z_block [p_{block/k}] g) for each k dividing every part of block.
 
-    g is the named standard series, read through degree |block| / k.
-    Only nonzero weights are listed; each must be an integer.
+    g is the named standard series; each weight reads one coefficient of
+    it. Only nonzero weights are listed; each must be an integer.
     """
     z = z_value(block)
     out = []
     for k in divisors(gcd(*block)):
         lam = tuple(part // k for part in block)
-        weight = z * standard_series(series_name, sum(lam)).coefficient(lam)
+        weight = z * _series_coefficient(series_name, lam)
         if weight.denominator != 1:
             raise IntegralityError(
                 f"weight of block {block} under p_{k}[{series_name}] is {weight}"
@@ -94,7 +95,7 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
     every cutoff, since only the terms of g through degree |rho| enter.
     A series with a constant term is rejected: there nu is unbounded.
     """
-    if standard_series(series_name, 0).coefficient(()):
+    if _series_coefficient(series_name, ()):
         raise ValueError(f"series {series_name!r} has a constant term")
     if not rho:
         return (((), 1),)
@@ -112,16 +113,21 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
         for k, weight in weights:
             scale = ways * weight
             for nu, value in remainder:
-                # Insert k after the parts >= k; m_k(nu) is then j - i + 1.
-                i = 0
-                while i < len(nu) and nu[i] > k:
-                    i += 1
-                j = i
-                while j < len(nu) and nu[j] == k:
-                    j += 1
-                key = nu[:j] + (k,) + nu[j:]
-                column[key] = column.get(key, 0) + (j - i + 1) * scale * value
+                key, m_k = _insert_part(nu, k)
+                column[key] = column.get(key, 0) + m_k * scale * value
     return tuple((nu, value) for nu, value in column.items() if value)
+
+
+@lru_cache(maxsize=None)
+def _insert_part(nu, k: int) -> tuple:
+    """(nu with one more part k, the number of parts k it then has)."""
+    i = 0
+    while i < len(nu) and nu[i] > k:
+        i += 1
+    j = i
+    while j < len(nu) and nu[j] == k:
+        j += 1
+    return nu[:j] + (k,) + nu[j:], j - i + 1
 
 
 def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
@@ -587,11 +593,17 @@ def vanishing_check(kind: str, lam, mu) -> bool:
     return overlap >= 2 * sum(target) - sum(lam)
 
 
-def durfee_criterion(mu, k: int) -> bool:
-    """Whether the Durfee square of mu is at most 2^(k-1)."""
+def _width(k) -> int:
+    """k as an int of at least 1; a non-integral k raises ValueError."""
+    (k,) = _integers((k,))
     if k < 1:
         raise ValueError("k must be at least 1")
-    return durfee(as_partition(mu)) <= 2 ** (k - 1)
+    return k
+
+
+def durfee_criterion(mu, k: int) -> bool:
+    """Whether the Durfee square of mu is at most 2^(k-1)."""
+    return durfee(as_partition(mu)) <= 2 ** (_width(k) - 1)
 
 
 def _e_values_at_unity(rho, rmax: int) -> tuple:
@@ -674,11 +686,14 @@ def witness_search(mu, k: int):
     transform each unit of a multiplicity assignment contributes at most
     k cells to lam. The bound is inferred from the direct-formula
     construction (not stated as such in the source material) and is
-    validated against the Durfee criterion by the acceptance sweep.
+    validated against the Durfee criterion by the acceptance sweep. The
+    bound is loose in practice: over the k=2 sweep of every |mu| <= 12
+    (254 witnesses, 18 None) the largest ratio of witness size to k*|mu|
+    is 11/24, at mu = (1^12) with witness (1^11), and every witness for
+    a nonempty mu there has |lam| <= |mu| - 1.
     """
     mu = as_partition(mu)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _width(k)
     for size in range(k * sum(mu) + 1):
         for lam in partitions_of(size, max_part=k):
             if _restriction_coeff_eval(lam, mu) > 0:

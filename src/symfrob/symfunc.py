@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .partitions import (
     as_partition,
@@ -45,9 +45,13 @@ class IntegralityError(InternalCheckError):
 def _normalize_terms(terms, cutoff, validate):
     out = {}
     for lam, c in terms.items():
-        lam = as_partition(lam) if validate else tuple(lam)
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if c == 0:
+        if validate:
+            lam = as_partition(lam)
+        elif type(lam) is not tuple:
+            lam = tuple(lam)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if not c:
             continue
         if cutoff is not None and sum(lam) > cutoff:
             raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
@@ -287,20 +291,6 @@ def _character_value(lam, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _h_in_p(n: int) -> tuple:
-    """p-expansion of the complete homogeneous h_n: sum over lam of p_lam/z_lam."""
-    return tuple((lam, Fraction(1, z_value(lam))) for lam in partitions_of(n))
-
-
-@lru_cache(maxsize=None)
-def _e_in_p(n: int) -> tuple:
-    return tuple(
-        (lam, Fraction((-1) ** (n - len(lam)), z_value(lam)))
-        for lam in partitions_of(n)
-    )
-
-
-@lru_cache(maxsize=None)
 def _s_in_p(lam) -> tuple:
     n = sum(lam)
     out = []
@@ -312,13 +302,24 @@ def _s_in_p(lam) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _multiplicative_in_p(base: str, lam) -> tuple:
-    """p-expansion of h_lam or e_lam (products over the parts)."""
-    single = _h_in_p if base == "h" else _e_in_p
-    out = SymFunc.one()
-    for part in lam:
-        out = out * SymFunc(dict(single(part)), None, _validate=False)
-    return tuple(out.terms())
+def _h_scaled_in_p(lam) -> tuple:
+    """h_lam times prod_i lam_i!, in the p basis as (nu, int) pairs.
+
+    k! h_k is the sum over rho of k of (k!/z_rho) p_rho, and k!/z_rho is
+    the size of the class rho in the symmetric group, an int. The product
+    over the parts of lam is taken one part at a time.
+    """
+    if not lam:
+        return (((), 1),)
+    k = lam[0]
+    size = factorial(k)
+    out: dict = {}
+    for rho in partitions_of(k):
+        c = size // z_value(rho)
+        for nu, d in _h_scaled_in_p(lam[1:]):
+            key = multiset_union(rho, nu)
+            out[key] = out.get(key, 0) + c * d
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +390,12 @@ def from_basis(basis: str, lam) -> SymFunc:
     if basis == "p":
         return SymFunc({lam: 1}, None, _validate=False)
     if basis in ("h", "e"):
-        pairs = _multiplicative_in_p(basis, lam)
+        scale = prod(map(factorial, lam))
+        n = sum(lam)
+        pairs = (
+            (nu, Fraction(c if basis == "h" else (-1) ** (n - len(nu)) * c, scale))
+            for nu, c in _h_scaled_in_p(lam)
+        )
     elif basis == "s":
         pairs = _s_in_p(lam)
     elif basis == "m":
@@ -602,6 +608,34 @@ def lyndon_sf(n: int) -> SymFunc:
     return SymFunc(terms, None, _validate=False)
 
 
+# The degree at which each standard series starts.
+_SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "Cadogan": 1}
+
+
+def _series_coefficient(name: str, lam) -> Fraction:
+    """[p_lam] of the named standard series, lam a partition tuple.
+
+    H, Hplus and Hgeq2 sum h_n and E sums e_n, from their start degree;
+    Emin sums (-1)^n e_n. Their coefficient is 1/z_lam, times the omega
+    sign (-1)^(|lam| - len(lam)) for e and (-1)^|lam| more for Emin. Lsum
+    sums the Lyndon functions and Cadogan sums (-1)^(n-1) omega(lyndon_sf(n)),
+    so theirs is the term of lam in lyndon_sf(|lam|), signed likewise.
+    """
+    if name not in _SERIES_START:
+        raise ValueError(f"unknown series {name!r}")
+    n = sum(lam)
+    if n < _SERIES_START[name]:
+        return Fraction(0)
+    omega_sign = (-1) ** (n - len(lam))
+    if name in ("Lsum", "Cadogan"):
+        c = lyndon_sf(n)._terms.get(lam, Fraction(0))
+        return c if name == "Lsum" else c * omega_sign * (-1) ** (n - 1)
+    if name[0] == "H":
+        return Fraction(1, z_value(lam))
+    sign = omega_sign if name == "E" else omega_sign * (-1) ** n
+    return Fraction(sign, z_value(lam))
+
+
 @lru_cache(maxsize=None)
 def standard_series(name: str, cutoff: int) -> SymFunc:
     """The named generating series, exact through the cutoff.
@@ -610,32 +644,21 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     E, Emin (alternating elementary), Lsum (sum of the Lyndon symmetric
     functions), Cadogan (the plethystic inverse of Hplus), and Lyndon
     (the single degree-``cutoff`` Lyndon function, which is exact).
+    Every coefficient comes from ``_series_coefficient``; Lsum and
+    Cadogan are supported on the rectangles (d^(n/d)) only.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if name == "Lyndon":
         return lyndon_sf(cutoff)
-    terms: dict = {}
-    if name in ("H", "Hplus", "Hgeq2", "E", "Emin"):
-        # Emin is the sum of (-1)^n e_n; the others sum h_n or e_n from n = start.
-        start = {"Hplus": 1, "Hgeq2": 2}.get(name, 0)
-        single = _h_in_p if name[0] == "H" else _e_in_p
-        sign = -1 if name == "Emin" else 1
-        for n in range(start, cutoff + 1):
-            for lam, c in single(n):
-                terms[lam] = c * sign**n
-    elif name == "Lsum":
-        acc = SymFunc.zero()
-        for n in range(1, cutoff + 1):
-            acc = acc + lyndon_sf(n)
-        terms = dict(acc._terms)
-    elif name == "Cadogan":
-        acc = SymFunc.zero()
-        for n in range(1, cutoff + 1):
-            acc = acc + omega(lyndon_sf(n)) * ((-1) ** (n - 1))
-        terms = dict(acc._terms)
-    else:
-        raise ValueError(f"unknown series {name!r}")
+    terms = {}
+    for n in range(cutoff + 1):
+        if name in ("Lsum", "Cadogan"):
+            support = [(d,) * (n // d) for d in divisors(n)] if n else []
+        else:
+            support = partitions_of(n)
+        for lam in support:
+            terms[lam] = _series_coefficient(name, lam)
     return SymFunc(terms, cutoff, _validate=False)
 
 

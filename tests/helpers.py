@@ -13,8 +13,8 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from symfrob.partitions import conjugate, partitions_of
-from symfrob.symfunc import SymFunc, from_basis
+from symfrob.partitions import conjugate, partitions_of, z_value
+from symfrob.symfunc import SymFunc, from_basis, lyndon_sf, omega
 
 
 def partition_up_to(n):
@@ -62,6 +62,40 @@ def h_series_by_exponential(max_deg):
         if m > max_deg:
             break
     return result
+
+
+def single_in_p(base, n):
+    """h_n (base "h") or e_n (base "e") as the sum of +-p_lam / z_lam over lam of n."""
+    return SymFunc(
+        {
+            lam: Fraction((-1) ** (n - len(lam)) if base == "e" else 1, z_value(lam))
+            for lam in partitions_of(n)
+        }
+    )
+
+
+def multiplicative_in_p(base, lam):
+    """h_lam or e_lam as the Fraction SymFunc product of its single factors."""
+    out = SymFunc.one()
+    for part in lam:
+        out = out * single_in_p(base, part)
+    return out
+
+
+def standard_series_by_sums(name, cutoff):
+    """The named standard series summed degree by degree from its definition."""
+    total = SymFunc.zero()
+    for n in range(cutoff + 1):
+        if name in ("H", "Hplus", "Hgeq2", "E", "Emin"):
+            if n < {"Hplus": 1, "Hgeq2": 2}.get(name, 0):
+                continue
+            sign = (-1) ** n if name == "Emin" else 1
+            total = total + single_in_p(name[0].lower(), n) * sign
+        elif n and name == "Lsum":
+            total = total + lyndon_sf(n)
+        elif n and name == "Cadogan":
+            total = total + omega(lyndon_sf(n)) * (-1) ** (n - 1)
+    return total.truncate(cutoff)
 
 
 def add_horizontal_strips(lam, k):

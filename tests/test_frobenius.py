@@ -141,8 +141,8 @@ def test_pleth_coeff_rejects_series_with_constant_term():
 
 def test_pleth_coeff_rejects_non_integral_block_weight(monkeypatch):
     # g = p_1 / 2 gives the block (1,) the weight z_(1) / 2 = 1/2.
-    half_p1 = lambda name, cutoff: SymFunc({(1,): Fraction(1, 2)}).truncate(cutoff)
-    monkeypatch.setattr(symfrob.frobenius, "standard_series", half_p1)
+    half_p1 = lambda name, lam: Fraction(1, 2) if lam == (1,) else Fraction(0)
+    monkeypatch.setattr(symfrob.frobenius, "_series_coefficient", half_p1)
     _pleth_coeff.cache_clear()
     _block_weights.cache_clear()
     try:
@@ -151,6 +151,23 @@ def test_pleth_coeff_rejects_non_integral_block_weight(monkeypatch):
     finally:
         _pleth_coeff.cache_clear()
         _block_weights.cache_clear()
+
+
+def test_fsur_of_p40_enumerates_no_partitions_of_40(monkeypatch):
+    # Each block weight reads one series coefficient; no series is expanded.
+    symfrob.clear_caches()
+    requested = []
+    enumerate_partitions = symfrob.partitions._partitions_of
+
+    def recording(n, max_part):
+        requested.append(n)
+        return enumerate_partitions(n, max_part)
+
+    monkeypatch.setattr(symfrob.partitions, "_partitions_of", recording)
+    image = fsur(p(40))
+    assert image == fsur_p_direct((40,))
+    assert fsurinv(image) == p(40)
+    assert max(requested, default=0) < 40
 
 
 def test_pleth_memo_is_independent_of_call_order():
@@ -693,6 +710,16 @@ def test_durfee_examples():
         k = max(1, len(mu))
         if 2 ** (k - 1) >= len(mu):
             assert durfee_criterion(mu, k)
+
+
+def test_durfee_and_witness_check_k_like_parts():
+    assert durfee_criterion((2, 2), 2.0) is durfee_criterion((2, 2), 2)
+    assert witness_search((2, 2), 2.0) == witness_search((2, 2), 2)
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="integers"):
+            durfee_criterion((2, 2), bad)
+        with pytest.raises(ValueError, match="integers"):
+            witness_search((2, 2), bad)
 
 
 def test_durfee_bound_is_tight_at_k3():

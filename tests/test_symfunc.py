@@ -11,9 +11,11 @@ from symfrob.symfunc import (
     BASES,
     IntegralityError,
     PrecisionError,
+    _SERIES_START,
     SymFunc,
     _p_in_h,
     _p_in_m,
+    _series_coefficient,
     character_value,
     from_basis,
     from_serializable,
@@ -33,9 +35,11 @@ from symfrob.symfunc import (
 from helpers import (
     dual_jacobi_trudi,
     h_series_by_exponential,
+    multiplicative_in_p,
     partition_up_to,
     random_symfunc,
     schur_product_by_pieri,
+    standard_series_by_sums,
 )
 
 
@@ -63,6 +67,12 @@ def test_h_in_p_matches_exponential_series():
     for n in range(7):
         assert h(*((n,) if n else ())) == oracle[n]
     assert to_basis(h(2), "p") == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+
+
+def test_h_and_e_match_the_fraction_product_route():
+    for basis in ("h", "e"):
+        for lam in partitions_up_to(9):
+            assert from_basis(basis, lam) == multiplicative_in_p(basis, lam), (basis, lam)
 
 
 def test_schur_in_p_frozen_example():
@@ -167,7 +177,7 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
     for basis in ("h", "e", "m"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
-    for memo in ("_multiplicative_in_p", "_m_in_p_degree"):
+    for memo in ("_h_scaled_in_p", "_m_in_p_degree"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
@@ -410,6 +420,16 @@ def test_series_contents():
     assert standard_series("E", 3) == (
         SymFunc.one() + e(1) + e(2) + e(3)
     ).truncate(3)
+
+
+def test_series_coefficient_rule_matches_the_series():
+    for name in _SERIES_START:
+        assert standard_series(name, 8) == standard_series_by_sums(name, 8), name
+        for lam in partitions_up_to(8):
+            want = standard_series(name, sum(lam)).coefficient(lam)
+            assert _series_coefficient(name, lam) == want, (name, lam)
+    with pytest.raises(ValueError, match="unknown series"):
+        _series_coefficient("Lyndon", (1,))
 
 
 def test_span_lemma_and_dual_jacobi_trudi():
