@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
-    _integers,
+    _count,
     as_partition,
     conjugate,
     divisors,
@@ -42,8 +42,8 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
-    _character_value,
     _int_column_sum,
+    _s_in_p,
     _series_coefficient,
     from_basis,
     plethysm,
@@ -372,9 +372,7 @@ def fsurinv_e_words(alpha) -> SymFunc:
     indexed by the multiplicity partition of its Lyndon factorization,
     signed by size minus number of factors.
     """
-    alpha = _integers(alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("content entries must be nonnegative")
+    alpha = tuple(map(_count, alpha))
     total = sum(alpha)
     collected: Counter = Counter()
     for w in _words_with_content(alpha):
@@ -389,8 +387,7 @@ def fsurinv_e_words(alpha) -> SymFunc:
 
 def fsurinv_h_direct(r: int) -> SymFunc:
     """fsurinv of a single complete homogeneous function: alternating h e sum."""
-    if r < 0:
-        raise ValueError("index must be nonnegative")
+    r = _count(r)
     out = SymFunc.zero()
     for k in range(r // 2 + 1):
         out = out + from_basis("h", (r - 2 * k,) if r - 2 * k else ()) * from_basis(
@@ -441,8 +438,7 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
     polynomials in num_vars commuting variables through total degree
     ``bound`` with exact symmetric function coefficients.
     """
-    if num_vars < 1 or bound < 1:
-        raise ValueError("need at least one variable and positive degree")
+    num_vars, bound = _count(num_vars, 1), _count(bound, 1)
     if which not in ("reciprocal", "product"):
         raise ValueError(f"unknown identity {which!r}")
 
@@ -593,17 +589,9 @@ def vanishing_check(kind: str, lam, mu) -> bool:
     return overlap >= 2 * sum(target) - sum(lam)
 
 
-def _width(k) -> int:
-    """k as an int of at least 1; a non-integral k raises ValueError."""
-    (k,) = _integers((k,))
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return k
-
-
 def durfee_criterion(mu, k: int) -> bool:
     """Whether the Durfee square of mu is at most 2^(k-1)."""
-    return durfee(as_partition(mu)) <= 2 ** (_width(k) - 1)
+    return durfee(as_partition(mu)) <= 2 ** (_count(k, 1) - 1)
 
 
 def _e_values_at_unity(rho, rmax: int) -> tuple:
@@ -668,12 +656,9 @@ def restriction_coeff_eval(lam, mu) -> int:
 
 @lru_cache(maxsize=None)
 def _restriction_coeff_eval(lam, mu) -> int:
-    n = sum(mu)
     total = Fraction(0)
-    for rho in partitions_of(n):
-        chi = _character_value(mu, rho)
-        if chi:
-            total += Fraction(chi, z_value(rho)) * _schur_at_unity(lam, rho)
+    for rho, c in _s_in_p(mu):
+        total += c * _schur_at_unity(lam, rho)
     if total.denominator != 1:
         raise IntegralityError(f"r coefficient for {lam}, {mu} is {total}")
     return int(total)
@@ -693,7 +678,7 @@ def witness_search(mu, k: int):
     a nonempty mu there has |lam| <= |mu| - 1.
     """
     mu = as_partition(mu)
-    k = _width(k)
+    k = _count(k, 1)
     for size in range(k * sum(mu) + 1):
         for lam in partitions_of(size, max_part=k):
             if _restriction_coeff_eval(lam, mu) > 0:

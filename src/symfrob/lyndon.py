@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import divisors, mobius
+from .partitions import _count, divisors, mobius
+from .symfunc import InternalCheckError
 
 
 def is_lyndon(w) -> bool:
@@ -47,10 +48,9 @@ def pi_of_word(w) -> tuple:
 
 
 def _as_alphabet(alphabet) -> list:
-    if isinstance(alphabet, int):
-        if alphabet < 1:
-            raise ValueError("alphabet size must be at least 1")
-        return list(range(1, alphabet + 1))
+    """The letters in order; a size, or a string read as one, means [1..size]."""
+    if isinstance(alphabet, str) or not hasattr(alphabet, "__iter__"):
+        return list(range(1, _count(alphabet, 1) + 1))
     return sorted(alphabet)
 
 
@@ -62,7 +62,8 @@ def lyndon_words(alphabet, max_len: int) -> list:
     """
     letters = _as_alphabet(alphabet)
     k = len(letters)
-    if max_len < 1:
+    max_len = _count(max_len)
+    if not max_len:
         return []
     out = []
     w = [0]
@@ -96,10 +97,10 @@ def enumerate_lyndon(alphabet, max_total: int) -> dict:
 
 def witt_count(alphabet_size: int, n: int) -> int:
     """Number of Lyndon words of length n over a totally ordered alphabet."""
-    if n < 1 or alphabet_size < 1:
-        raise ValueError("witt_count needs positive arguments")
+    alphabet_size, n = _count(alphabet_size, 1), _count(n, 1)
     total = sum(mobius(d) * alphabet_size ** (n // d) for d in divisors(n))
-    assert total % n == 0
+    if total % n:
+        raise InternalCheckError(f"Witt sum {total} is not divisible by {n}")
     return total // n
 
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import as_partition, divisors, multiplicities, partitions_of, z_value
+from .partitions import (
+    _count,
+    as_partition,
+    divisors,
+    multiplicities,
+    partitions_of,
+    z_value,
+)
 from .symfunc import SymFunc
 
 __all__ = [
@@ -27,10 +34,8 @@ def power_value_at_unity(k: int, mu) -> int:
     Each part d of mu contributes its d-th roots of unity, whose k-th
     powers sum to d when d divides k and to 0 otherwise.
     """
-    if k < 1:
-        raise ValueError("power sum index must be positive")
     mult = multiplicities(as_partition(mu))
-    return sum(d * mult.get(d, 0) for d in divisors(k))
+    return sum(d * mult.get(d, 0) for d in divisors(_count(k, 1)))
 
 
 def eval_at_unity(f: SymFunc, mu) -> Fraction:
@@ -55,8 +60,7 @@ def eval_at_unity(f: SymFunc, mu) -> Fraction:
 
 def frobenius_via_roots(f: SymFunc, cutoff: int) -> SymFunc:
     """The full Frobenius transform through the cutoff, by evaluation only."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    cutoff = _count(cutoff)
     terms = {}
     for n in range(cutoff + 1):
         for mu in partitions_of(n):

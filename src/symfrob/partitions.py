@@ -20,6 +20,20 @@ def _integers(parts) -> tuple:
     return out
 
 
+def _count(value, least=0) -> int:
+    """*value* as an int of at least *least*: 2.0 gives 2, while 2.5, "2"
+    or a smaller value raise ValueError."""
+    if type(value) is int and value >= least:
+        return value
+    try:
+        (count,) = _integers((value,))
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"counts must be integers >= {least}, got {value!r}")
+    return count
+
+
 def as_partition(parts) -> tuple:
     """Validate *parts* as a partition and return it as a tuple."""
     lam = _integers(parts)
@@ -32,10 +46,7 @@ def as_partition(parts) -> tuple:
 
 def partition_from_composition(parts) -> tuple:
     """Sort a sequence of nonnegative integers into a partition, dropping zeros."""
-    comp = _integers(parts)
-    if any(p < 0 for p in comp):
-        raise ValueError(f"composition entries must be nonnegative, got {parts}")
-    return tuple(sorted((p for p in comp if p), reverse=True))
+    return tuple(sorted((p for p in map(_count, parts) if p), reverse=True))
 
 
 def conjugate(lam) -> tuple:
@@ -92,8 +103,7 @@ def divisors(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius is defined for positive integers")
+    n = _count(n, 1)
     result, m = 1, n
     p = 2
     while p * p <= m:
@@ -124,15 +134,13 @@ def partitions_of(n: int, max_part=None) -> list:
 
     The optional ``max_part`` bounds the largest part.
     """
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    return list(_partitions_of(n, n if max_part is None else min(max_part, n)))
+    n = _count(n)
+    return list(_partitions_of(n, n if max_part is None else min(_count(max_part), n)))
 
 
 def partitions_up_to(n: int) -> list:
     """Partitions of 0..n in canonical order: ascending size, then descending lex."""
-    if n < 0:
-        raise ValueError("cannot list partitions up to a negative size")
+    n = _count(n)
     out = []
     for m in range(n + 1):
         out.extend(_partitions_of(m, m))
@@ -146,13 +154,11 @@ def canonical_key(lam):
 
 def stable_pad(mu, n: int) -> tuple:
     """Prepend n - |mu| as a new largest part; requires n >= mu_1 + |mu|."""
-    mu = tuple(mu)
-    first = n - sum(mu)
+    mu = as_partition(mu)
+    first = _count(n) - sum(mu)
     if mu and first < mu[0]:
         raise ValueError(f"cannot pad {mu} to size {n}: new part {first} < {mu[0]}")
-    if first < 0:
-        raise ValueError(f"cannot pad {mu} to size {n}")
-    return (first,) + mu if first > 0 or mu else ()
+    return (first,) + mu if first else ()
 
 
 def hat(mu) -> tuple:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .partitions import (
+    _count,
     as_partition,
     canonical_key,
     divisors,
@@ -71,11 +72,7 @@ class SymFunc:
 
     def __init__(self, terms=None, cutoff=None, _validate=True):
         if cutoff is not None:
-            if int(cutoff) != cutoff:
-                raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-            cutoff = int(cutoff)
-            if cutoff < 0:
-                raise ValueError("cutoff must be nonnegative")
+            cutoff = _count(cutoff)
         self._terms = _normalize_terms(terms or {}, cutoff, _validate)
         self.cutoff = cutoff
 
@@ -120,6 +117,7 @@ class SymFunc:
 
     def homogeneous_component(self, n: int) -> "SymFunc":
         """The exact degree-n part (requires n within the cutoff)."""
+        n = _count(n)
         if self.cutoff is not None and n > self.cutoff:
             raise PrecisionError(f"degree {n} is beyond the cutoff {self.cutoff}")
         return SymFunc(
@@ -209,8 +207,7 @@ class SymFunc:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be nonnegative integers")
+        n = _count(n)
         result = SymFunc.one(self.cutoff)
         base = self
         while n:
@@ -598,8 +595,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 @lru_cache(maxsize=None)
 def lyndon_sf(n: int) -> SymFunc:
     """The degree-n Lyndon symmetric function (Mobius sum over divisor powers)."""
-    if n < 1:
-        raise ValueError("lyndon_sf is defined for n >= 1")
+    n = _count(n, 1)
     terms = {}
     for d in divisors(n):
         mu = mobius(d)
@@ -647,8 +643,7 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     Every coefficient comes from ``_series_coefficient``; Lsum and
     Cadogan are supported on the rectangles (d^(n/d)) only.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    cutoff = _count(cutoff)
     if name == "Lyndon":
         return lyndon_sf(cutoff)
     terms = {}

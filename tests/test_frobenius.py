@@ -30,11 +30,15 @@ from symfrob.frobenius import (
     vanishing_check,
     witness_search,
 )
+from symfrob.lyndon import lyndon_words, witt_count
+from symfrob.oracles import frobenius_via_roots, power_value_at_unity
 from symfrob.partitions import (
     conjugate,
     durfee,
+    mobius,
     partitions_of,
     partitions_up_to,
+    stable_pad,
     z_value,
 )
 from symfrob.symfunc import (
@@ -46,6 +50,7 @@ from symfrob.symfunc import (
     hall,
     kronecker,
     leading_term,
+    lyndon_sf,
     plethysm,
     skew,
     standard_series,
@@ -359,17 +364,41 @@ def test_fsurinv_e_words_composition_invariance():
 
 
 @pytest.mark.parametrize(
-    "make,integral,fractional",
+    "make,least",
     [
-        (lambda c: SymFunc({(1,): 1}, c), 2.0, 2.5),
-        (lambda a: fsurinv_e_words([a]), 1.0, 1.5),
+        pytest.param(lambda n: partitions_of(n), 0, id="partitions_of"),
+        pytest.param(lambda m: partitions_of(4, m), 0, id="max_part"),
+        pytest.param(partitions_up_to, 0, id="partitions_up_to"),
+        pytest.param(mobius, 1, id="mobius"),
+        pytest.param(lambda n: stable_pad((), n), 0, id="stable_pad"),
+        pytest.param(lambda c: SymFunc({(): 1}, c), 0, id="cutoff"),
+        pytest.param(lambda n: (p(1) + p(2)) ** n, 0, id="pow"),
+        pytest.param(lambda n: s(2, 1).homogeneous_component(n), 0, id="component"),
+        pytest.param(lyndon_sf, 1, id="lyndon_sf"),
+        pytest.param(lambda c: standard_series("H", c), 0, id="standard_series"),
+        pytest.param(lambda k: power_value_at_unity(k, (2, 1)), 1, id="power_value"),
+        pytest.param(lambda c: frobenius_via_roots(s(1), c), 0, id="via_roots"),
+        pytest.param(fsurinv_h_direct, 0, id="fsurinv_h_direct"),
+        pytest.param(lambda v: genfunc_identity_check(v, 2, "product"), 1, id="num_vars"),
+        pytest.param(lambda b: genfunc_identity_check(1, b, "product"), 1, id="bound"),
+        pytest.param(lambda k: durfee_criterion((2, 2), k), 1, id="durfee"),
+        pytest.param(lambda k: witness_search((2, 2), k), 1, id="witness"),
+        pytest.param(lambda a: lyndon_words(a, 3), 1, id="alphabet"),
+        pytest.param(lambda n: lyndon_words(2, n), 0, id="max_len"),
+        pytest.param(lambda a: witt_count(a, 2), 1, id="witt_alphabet"),
+        pytest.param(lambda n: witt_count(2, n), 1, id="witt_length"),
+        pytest.param(lambda a: fsurinv_e_words([a]), 0, id="content"),
     ],
-    ids=["cutoff", "content"],
 )
-def test_non_integral_input_raises(make, integral, fractional):
-    assert make(integral) == make(int(integral))
-    with pytest.raises(ValueError, match="integer"):
-        make(fractional)
+def test_non_integral_input_raises(make, least):
+    # A count is an int, or an integral float read as that int (the reprs
+    # match, so no float leaks into a result); anything else, or a value
+    # below the entry point's bound, is a usage error.
+    assert repr(make(2.0)) == repr(make(2))
+    make(least)
+    for bad in (2.5, "2", least - 1):
+        with pytest.raises(ValueError, match="integer"):
+            make(bad)
 
 
 def test_fsurinv_h_direct_values():

@@ -1,6 +1,7 @@
 """Every name a symfrob module imports is used there, every private
-module-level helper is used somewhere in the package, and the CLI loads
-no standard library module beyond what its own imports need."""
+module-level helper is used somewhere in the package, no module uses an
+assert statement, and the CLI loads no standard library module beyond
+what its own imports need."""
 
 import ast
 import os
@@ -94,6 +95,17 @@ def test_dead_helper_is_reported():
         "b.py": "from a import _used\n\n\nclass _Gone:\n    pass\n\n\nx = _used()\n",
     }
     assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a library check must raise.
+    found = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_cli_import_budget():

@@ -85,6 +85,7 @@ def test_enumeration_counts_match_witt():
 
 def test_single_letter_alphabet():
     assert lyndon_words(1, 5) == [(1,)]
+    assert lyndon_words(1, 0) == []
     assert witt_count(1, 2) == 0
 
 

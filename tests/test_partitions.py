@@ -139,8 +139,9 @@ def test_partitions_canonical_order():
 def test_stable_pad_and_hat():
     assert stable_pad((2, 1), 7) == (4, 2, 1)
     assert hat((4, 2, 1)) == (2, 1)
-    with pytest.raises(ValueError):
-        stable_pad((2, 1), 4)
+    for mu, n in (((2, 1), 4), ((1, 2), 5), ([2.5], 5)):
+        with pytest.raises(ValueError):
+            stable_pad(mu, n)
     for mu in partitions_up_to(5):
         first = (mu[0] if mu else 0) + sum(mu)
         for n in range(first, first + 3):

@@ -128,7 +128,7 @@ def test_p_in_m_is_pairing_with_h():
 
 def _hall_dual_expansion(f, basis):
     """[basis_mu] f as the pairing of f with the Hall dual basis element."""
-    dual = {"m": "h", "h": "m"}[basis]
+    dual = {"m": "h", "h": "m", "s": "s"}[basis]
     out = {}
     for n in {sum(nu) for nu, _ in f.terms()}:
         for mu in partitions_of(n):
@@ -139,7 +139,7 @@ def _hall_dual_expansion(f, basis):
 
 
 def _assert_matches_hall_duality(f):
-    for basis in ("m", "h"):
+    for basis in ("m", "h", "s"):
         assert to_basis(f, basis) == _hall_dual_expansion(f, basis), (f, basis)
 
 
