@@ -8,6 +8,7 @@ or coefficient is an exact integer or rational, never a float.
 
 import sys
 
+from . import partitions
 from .partitions import (
     as_partition,
     conjugate,
@@ -102,6 +103,10 @@ def cache_stats() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every memo; results are unchanged, only recomputed on demand."""
+    """Empty every memo; results are unchanged, only recomputed on demand.
+
+    The partition id table is emptied too, once no memo holds an id.
+    """
     for cache in _caches().values():
         cache.cache_clear()
+    partitions._clear_part_ids()

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import frobenius as frob
 from .lyndon import format_factorization, parse_word, pi_of_word
 from .oracles import frobenius_via_roots
 from .partitions import (
+    _count,
     as_partition,
     format_partition,
     parse_partition,
@@ -480,15 +482,17 @@ def _cmd_lyndon(args):
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for degree bounds: a nonnegative integer."""
-    error = argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    """argparse type for degree bounds, read by the library's count rule.
+
+    The text is parsed exactly as a Fraction, so "2.0" gives 2 as
+    ``coeff_table("a", 2.0)`` does, while "2.5", "-1" and "x" are rejected.
+    """
     try:
-        value = int(text)
-    except ValueError:
-        raise error from None
-    if value < 0:
-        raise error
-    return value
+        return _count(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}"
+        ) from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,7 +23,9 @@ from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
+    _PART_ENTRIES,
     _count,
+    _part_id,
     as_partition,
     conjugate,
     divisors,
@@ -83,7 +85,7 @@ def _block_weights(series_name: str, block) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pleth_coeff(series_name: str, rho) -> tuple:
-    """The nonzero (nu, <p_nu[g], p_rho>) pairs, g the named standard series.
+    """The nonzero (id of nu, <p_nu[g], p_rho>) pairs, g the named standard series.
 
     Each value is z_rho [p_rho] p_nu[g], an exact int. Pairing a product
     against p_rho splits the positions of rho into one nonempty block per
@@ -94,11 +96,12 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
     any of the m_k(nu) parts equal to k may cover it. One entry serves
     every cutoff, since only the terms of g through degree |rho| enter.
     A series with a constant term is rejected: there nu is unbounded.
+    Each nu is keyed by its partition id (``partitions._PART_ENTRIES``).
     """
     if _series_coefficient(series_name, ()):
         raise ValueError(f"series {series_name!r} has a constant term")
     if not rho:
-        return (((), 1),)
+        return ((_part_id(()), 1),)
     first, rest = rho[0], rho[1:]
     available = multiplicities(rest)
     column: dict = {}
@@ -119,15 +122,19 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _insert_part(nu, k: int) -> tuple:
-    """(nu with one more part k, the number of parts k it then has)."""
+def _insert_part(nu: int, k: int) -> tuple:
+    """(id of nu with one more part k, the number of parts k it then has).
+
+    nu is a partition id, like the result.
+    """
+    lam = _PART_ENTRIES[nu][0]
     i = 0
-    while i < len(nu) and nu[i] > k:
+    while i < len(lam) and lam[i] > k:
         i += 1
     j = i
-    while j < len(nu) and nu[j] == k:
+    while j < len(lam) and lam[j] == k:
         j += 1
-    return nu[:j] + (k,) + nu[j:], j - i + 1
+    return _part_id(lam[:j] + (k,) + lam[j:]), j - i + 1
 
 
 def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
@@ -135,17 +142,18 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
 
     The p_nu coefficient of the result is (1/z_nu) sum_rho f_rho
     <p_nu[g], p_rho>. With f's coefficients over one common denominator
-    D, the sum runs in ints along each memoized column, and each output
-    term is the one Fraction total / (D z_nu).
+    D, the sum runs in ints along each memoized column, keyed by
+    partition id, and each nonzero total reads its (nu, z_nu) from the id
+    table once to become the one Fraction total / (D z_nu).
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
-    out = {
-        nu: Fraction(total, denominator * z_value(nu))
-        for nu, total in totals.items()
-        if total
-    }
+    out = {}
+    for nu, total in totals.items():
+        if total:
+            lam, z = _PART_ENTRIES[nu]
+            out[lam] = Fraction(total, denominator * z)
     return SymFunc(out, None, _validate=False)
 
 

@@ -96,6 +96,30 @@ def z_value(lam) -> int:
     return z
 
 
+# The partition id table. The integer column memos (the plethysm
+# coefficients, the p-to-h and p-to-m columns) key their entries by a
+# small int id instead of the partition tuple, which is cheaper to hash.
+# Ids are handed out in discovery order and never leave the package.
+# Only ``symfrob.clear_caches()`` empties the table, in the same call that
+# clears every lru_cache memo, since those are the only holders of ids.
+_PART_IDS: dict = {}
+_PART_ENTRIES: list = []
+
+
+def _part_id(lam) -> int:
+    """The id of the partition tuple lam, handed out on first sight."""
+    pid = _PART_IDS.get(lam)
+    if pid is None:
+        pid = _PART_IDS[lam] = len(_PART_ENTRIES)
+        _PART_ENTRIES.append((lam, z_value(lam)))
+    return pid
+
+
+def _clear_part_ids() -> None:
+    _PART_IDS.clear()
+    _PART_ENTRIES.clear()
+
+
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple:
     return tuple(d for d in range(1, n + 1) if n % d == 0)

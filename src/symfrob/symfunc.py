@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .partitions import (
+    _PART_ENTRIES,
     _count,
+    _part_id,
     as_partition,
     canonical_key,
     divisors,
@@ -25,6 +27,7 @@ from .partitions import (
     multiset_diff,
     multiset_union,
     partitions_of,
+    submultisets,
     z_value,
 )
 
@@ -321,15 +324,16 @@ def _h_scaled_in_p(lam) -> tuple:
 
 @lru_cache(maxsize=None)
 def _p_in_h(nu) -> tuple:
-    """p_nu in the h basis, as (mu, int) pairs.
+    """p_nu in the h basis, as (id of mu, int) pairs.
 
     Newton's identity (Macdonald I.2.14') gives p_k as the sum over
     lam of k of (-1)^(l-1) k (l-1)! / prod_i m_i(lam)! h_lam, l = len(lam).
     p_nu is the product of these over its parts, taken one part at a time;
-    h_lam h_mu is h of the multiset union.
+    h_lam h_mu is h of the multiset union. Each mu is keyed by its
+    partition id (``partitions._PART_ENTRIES``).
     """
     if not nu:
-        return (((), 1),)
+        return ((_part_id(()), 1),)
     k = nu[0]
     out = {}
     for lam in partitions_of(k):
@@ -337,48 +341,60 @@ def _p_in_h(nu) -> tuple:
         for m in multiplicities(lam).values():
             c //= factorial(m)
         for mu, d in _p_in_h(nu[1:]):
-            key = multiset_union(lam, mu)
+            key = multiset_union(lam, _PART_ENTRIES[mu][0])
             out[key] = out.get(key, 0) + c * d
-    return tuple((mu, c) for mu, c in out.items() if c)
+    return tuple((_part_id(mu), c) for mu, c in out.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _p_in_m(nu) -> tuple:
-    """p_nu in the m basis, as (mu, int) pairs.
+    """p_nu in the m basis, as (id of mu, int) pairs.
 
     [m_mu] p_nu = <p_nu, h_mu>, the matrix L(p, m) of Macdonald I.6. p_nu
     is built one part k at a time: p_k m_mu is the sum of m_mu' over the
     mu' made by adding k to one part value v of mu (v = 0 appends k),
     each with coefficient m_{v+k}(mu'), the number of parts of mu' that
-    p_k can have supplied.
+    p_k can have supplied. Each mu is keyed by its partition id.
     """
     if not nu:
-        return (((), 1),)
+        return ((_part_id(()), 1),)
     k = nu[0]
     out = {}
-    for mu, c in _p_in_m(nu[1:]):
+    for pid, c in _p_in_m(nu[1:]):
+        mu = _PART_ENTRIES[pid][0]
         for v in (0, *multiplicities(mu)):
             key = multiset_union(multiset_diff(mu, (v,)) if v else mu, (v + k,))
             out[key] = out.get(key, 0) + c * key.count(v + k)
-    return tuple(out.items())
+    return tuple((_part_id(mu), c) for mu, c in out.items())
 
 
 @lru_cache(maxsize=None)
-def _m_in_p_degree(n: int) -> dict:
-    """p-expansions of all monomial symmetric functions of degree n.
+def _m_scaled_in_p(lam) -> tuple:
+    """m_lam times prod_i m_i(lam)!, in the p basis as (nu, int) pairs.
 
-    m is the Hall dual of h (Macdonald I.4), so [p_nu] m_mu is
-    <p_nu, m_mu> / z_nu = [h_mu] p_nu / z_nu: the table is the transpose
-    of the integer p-to-h expansions of ``_p_in_h``. Each m_mu lists its
-    terms with nu in ``partitions_of`` order. Only ``from_basis("m")``
-    reads it; conversions into m use the columns of ``_p_in_m``.
+    Mobius inversion over the set partitions pi of the positions of lam
+    gives prod_i m_i(lam)! m_lam = sum_pi prod_B (-1)^(|B|-1) (|B|-1)!
+    p_{lam_pi}, where lam_pi has one part per block B, the sum of the
+    parts in it. As in ``frobenius._pleth_coeff`` the recursion takes the
+    block holding lam[0]: lam[0] plus a sub-multiset sigma of the rest,
+    chosen in prod_j comb(m_j(rest), m_j(sigma)) ways, with weight
+    (-1)^len(sigma) len(sigma)!, merged into the one part lam[0] + |sigma|
+    (|sigma| the sum of its parts).
     """
-    table = {mu: [] for mu in partitions_of(n)}
-    for nu in partitions_of(n):
-        z = z_value(nu)
-        for mu, c in _p_in_h(nu):
-            table[mu].append((nu, Fraction(c, z)))
-    return {mu: tuple(pairs) for mu, pairs in table.items()}
+    if not lam:
+        return (((), 1),)
+    first, rest = lam[0], lam[1:]
+    available = multiplicities(rest)
+    out = {}
+    for sigma in submultisets(rest):
+        c = (-1) ** len(sigma) * factorial(len(sigma))
+        for part, m in multiplicities(sigma).items():
+            c *= comb(available[part], m)
+        merged = (first + sum(sigma),)
+        for nu, d in _m_scaled_in_p(multiset_diff(rest, sigma)):
+            key = multiset_union(merged, nu)
+            out[key] = out.get(key, 0) + c * d
+    return tuple((nu, c) for nu, c in out.items() if c)
 
 
 def from_basis(basis: str, lam) -> SymFunc:
@@ -396,7 +412,8 @@ def from_basis(basis: str, lam) -> SymFunc:
     elif basis == "s":
         pairs = _s_in_p(lam)
     elif basis == "m":
-        pairs = _m_in_p_degree(sum(lam))[lam]
+        scale = prod(map(factorial, multiplicities(lam).values()))
+        pairs = ((nu, Fraction(c, scale)) for nu, c in _m_scaled_in_p(lam))
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return SymFunc(dict(pairs), None, _validate=False)
@@ -407,8 +424,9 @@ def _int_column_sum(f: SymFunc, column) -> tuple:
 
     D is the common denominator of f's coefficients, so a_nu = D f_nu is
     an int, and totals[mu] is the int sum of a_nu * c over the terms nu
-    of f and the pairs (mu, c) of ``column(nu)``. Totals that cancel to
-    0 are kept; the callers drop them as they build their Fractions.
+    of f and the pairs (mu, c) of ``column(nu)``, mu a partition id.
+    Totals that cancel to 0 are kept; the callers drop them as they turn
+    each id back into its partition.
     """
     denominator = lcm(*(c.denominator for c in f._terms.values()))
     totals: dict = {}
@@ -455,7 +473,11 @@ def to_basis(f: SymFunc, basis: str) -> dict:
     else:
         raise ValueError(f"unknown basis {basis!r}")
     totals, denominator = _int_column_sum(f, column)
-    return {mu: Fraction(total, denominator) for mu, total in totals.items() if total}
+    return {
+        _PART_ENTRIES[mu][0]: Fraction(total, denominator)
+        for mu, total in totals.items()
+        if total
+    }
 
 
 def to_basis_int(f: SymFunc, basis: str) -> dict:

@@ -7,14 +7,50 @@ variable, or plain polynomial evaluation in finitely many variables.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
 
 from hypothesis import strategies as st
 
-from symfrob.partitions import conjugate, partitions_of, z_value
-from symfrob.symfunc import SymFunc, from_basis, lyndon_sf, omega
+from symfrob.frobenius import fsur, fsurinv
+from symfrob.partitions import (
+    _PART_ENTRIES,
+    canonical_key,
+    conjugate,
+    format_partition,
+    partitions_of,
+    partitions_up_to,
+    z_value,
+)
+from symfrob.symfunc import (
+    BASES,
+    SymFunc,
+    _p_in_h,
+    from_basis,
+    lyndon_sf,
+    omega,
+    to_basis,
+)
+
+
+def column_by_partition(pairs):
+    """An integer column of (partition id, value) pairs as a partition-keyed dict."""
+    return {_PART_ENTRIES[pid][0]: value for pid, value in pairs}
+
+
+def m_in_p_by_transpose(n):
+    """p-expansions of every m_mu of degree n, from the transpose of p in h.
+
+    m is the Hall dual of h (Macdonald I.4), so [p_nu] m_mu is
+    <p_nu, m_mu> / z_nu = [h_mu] p_nu / z_nu.
+    """
+    table = {mu: {} for mu in partitions_of(n)}
+    for nu in partitions_of(n):
+        for mu, c in column_by_partition(_p_in_h(nu)).items():
+            table[mu][nu] = Fraction(c, z_value(nu))
+    return {mu: SymFunc(terms) for mu, terms in table.items()}
 
 
 def partition_up_to(n):
@@ -265,3 +301,31 @@ def words_with_content(letters, counts):
                 counts[i] += 1
 
     yield from rec()
+
+
+def canonical_listing(label, terms):
+    """One text line: the label, then partition:num/den per term in canonical order."""
+    items = sorted(dict(terms).items(), key=lambda item: canonical_key(item[0]))
+    body = " ".join(
+        f"{format_partition(lam)}:{c.numerator}/{c.denominator}" for lam, c in items
+    )
+    return f"{label} {body}"
+
+
+def transforms_and_conversions_digest(maxdeg):
+    """SHA-256 of the canonical listing of every transform and conversion.
+
+    For each basis b and each lam with |lam| <= maxdeg the listing holds
+    fsur and fsurinv of from_basis(b, lam) (their power sum terms) and
+    to_basis(from_basis(b, lam), dst) for every target basis dst.
+    """
+    lines = []
+    for lam in partitions_up_to(maxdeg):
+        for src in BASES:
+            f = from_basis(src, lam)
+            name = f"{src}{format_partition(lam)}"
+            lines.append(canonical_listing(f"fsur {name}", fsur(f).terms()))
+            lines.append(canonical_listing(f"fsurinv {name}", fsurinv(f).terms()))
+            for dst in BASES:
+                lines.append(canonical_listing(f"{name} in {dst}", to_basis(f, dst)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -306,6 +306,18 @@ def test_negative_maxdeg_exits_one(capsys, argv):
     assert "nonnegative" in err
 
 
+def test_maxdeg_follows_the_library_count_rule(capsys):
+    # "2.0" is read as 2, as coeff_table("a", 2.0) reads it; the text is
+    # parsed exactly, so a decimal just above 2 is not rounded down.
+    want = run_cli(capsys, "table", "--kind", "a", "--maxdeg", "2")
+    assert want[0] == 0
+    assert run_cli(capsys, "table", "--kind", "a", "--maxdeg", "2.0") == want
+    for text in ("2.5", "2.0000000000000001", "1/0"):
+        code, out, err = run_cli(capsys, "table", "--kind", "a", "--maxdeg", text)
+        assert (code, out) == (1, ""), text
+        assert "nonnegative" in err, text
+
+
 @pytest.mark.parametrize("cutoff", ["-1", "x"])
 def test_bad_cutoff_exits_one(capsys, cutoff):
     code, out, err = run_cli(

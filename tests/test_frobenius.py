@@ -54,15 +54,18 @@ from symfrob.symfunc import (
     plethysm,
     skew,
     standard_series,
+    to_basis,
     to_basis_int,
 )
 
 from helpers import (
+    column_by_partition,
     divisible_by_e1_power,
     divisible_by_falling_factorial,
     falling_factorial_e1,
     partition_up_to,
     random_symfunc,
+    transforms_and_conversions_digest,
     words_with_content,
 )
 
@@ -127,7 +130,9 @@ def test_pleth_coeff_matches_general_plethysm(name):
     # Each column holds exactly the nonzero <p_nu[g], p_rho> = z_rho [p_rho] p_nu[g].
     for d in range(7):
         series = standard_series(name, d)
-        columns = {rho: dict(_pleth_coeff(name, rho)) for rho in partitions_of(d)}
+        columns = {
+            rho: column_by_partition(_pleth_coeff(name, rho)) for rho in partitions_of(d)
+        }
         for column in columns.values():
             assert set(column) <= set(partitions_up_to(d))
             assert all(type(value) is int and value for value in column.values())
@@ -184,8 +189,8 @@ def test_pleth_memo_is_independent_of_call_order():
     }
 
     def transforms(degrees):
-        _pleth_coeff.cache_clear()
-        _block_weights.cache_clear()
+        symfrob.clear_caches()
+        assert not symfrob.partitions._PART_IDS
         return {n: [(fsur(f), fsurinv(f)) for f in inputs[n]] for n in degrees}
 
     assert transforms((8, 4)) == transforms((4, 8))
@@ -197,10 +202,35 @@ def test_clear_caches_empties_every_memo():
     stats = symfrob.cache_stats()
     assert "symfrob.frobenius._pleth_coeff" in stats
     assert stats["symfrob.frobenius._pleth_coeff"]["entries"] > 0
+    assert symfrob.partitions._PART_IDS
     symfrob.clear_caches()
     stats = symfrob.cache_stats()
     assert all(entry["entries"] == 0 for entry in stats.values()), stats
+    assert not symfrob.partitions._PART_IDS
+    assert not symfrob.partitions._PART_ENTRIES
     assert [(fsur(f), fsurinv(f)) for f in inputs] == before
+
+
+def test_transforms_and_conversions_match_pinned_digest():
+    # fsur, fsurinv and all 25 basis conversions of every basis element of
+    # degree <= 7, listed canonically; a refactor must leave this unchanged.
+    digest = transforms_and_conversions_digest(7)
+    assert digest == "846fb62ca08ac372947e89b51148f22de071b4e1a02d1df708ef5b2581f5a8f6"
+
+
+def test_results_are_keyed_by_partition_tuples():
+    # Partition ids key the integer columns and never leave the package.
+    inputs = [
+        s(5, 2, 1),
+        h(4, 3) - p(3, 3, 1),
+        Fraction(1, 3) * e(6, 1),
+        from_basis("m", (3, 2, 2)),
+    ]
+    for f in inputs:
+        for g in (f, fsur(f), fsurinv(f)):
+            for basis in ("h", "e", "m"):
+                assert all(type(lam) is tuple for lam in to_basis(g, basis)), (g, basis)
+            assert all(type(lam) is tuple for lam, _ in g.terms()), g
 
 
 # -- expansion route ------------------------------------------------------------

@@ -33,8 +33,10 @@ from symfrob.symfunc import (
 )
 
 from helpers import (
+    column_by_partition,
     dual_jacobi_trudi,
     h_series_by_exponential,
+    m_in_p_by_transpose,
     multiplicative_in_p,
     partition_up_to,
     random_symfunc,
@@ -110,7 +112,7 @@ def test_hall_h_m_duality_property():
 def test_p_in_h_sums_to_power_sum():
     for nu in partitions_up_to(8):
         total = SymFunc.zero()
-        for mu, c in _p_in_h(nu):
+        for mu, c in column_by_partition(_p_in_h(nu)).items():
             assert type(c) is int, (nu, mu)
             total = total + from_basis("h", mu) * c
         assert total == from_basis("p", nu), nu
@@ -118,12 +120,33 @@ def test_p_in_h_sums_to_power_sum():
 
 def test_p_in_m_is_pairing_with_h():
     for nu in partitions_up_to(8):
-        column = dict(_p_in_m(nu))
+        column = column_by_partition(_p_in_m(nu))
         assert all(type(c) is int for c in column.values()), nu
         assert set(column) <= set(partitions_of(sum(nu))), nu
         for mu in partitions_of(sum(nu)):
             want = hall(from_basis("p", nu), from_basis("h", mu))
             assert column.get(mu, 0) == want, (nu, mu)
+
+
+def test_m_in_p_matches_the_transpose_of_p_in_h():
+    for n in range(10):
+        for mu, want in m_in_p_by_transpose(n).items():
+            assert from_basis("m", mu) == want, mu
+
+
+def test_m_of_a_single_part_enumerates_no_partitions(monkeypatch):
+    # m_(40) is p_40, read from one block of the set-partition recursion.
+    symfrob.clear_caches()
+    requested = []
+    enumerate_partitions = symfrob.partitions._partitions_of
+
+    def recording(n, max_part):
+        requested.append(n)
+        return enumerate_partitions(n, max_part)
+
+    monkeypatch.setattr(symfrob.partitions, "_partitions_of", recording)
+    assert from_basis("m", (40,)) == from_basis("p", (40,))
+    assert 40 not in requested
 
 
 def _hall_dual_expansion(f, basis):
@@ -177,7 +200,7 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
     for basis in ("h", "e", "m"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
-    for memo in ("_h_scaled_in_p", "_m_in_p_degree"):
+    for memo in ("_h_scaled_in_p", "_m_scaled_in_p"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
