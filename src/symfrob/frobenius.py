@@ -18,12 +18,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations, product
-from math import comb, gcd
+from math import gcd
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
     _PART_ENTRIES,
+    _block_splits,
     _count,
     _part_id,
     as_partition,
@@ -32,12 +33,9 @@ from .partitions import (
     durfee,
     hat,
     intersect,
-    multiplicities,
-    multiset_diff,
     partition_from_composition,
     partitions_of,
     partitions_up_to,
-    submultisets,
     z_value,
 )
 from .symfunc import (
@@ -102,22 +100,18 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
         raise ValueError(f"series {series_name!r} has a constant term")
     if not rho:
         return ((_part_id(()), 1),)
-    first, rest = rho[0], rho[1:]
-    available = multiplicities(rest)
     column: dict = {}
-    for sigma in submultisets(rest):
-        weights = _block_weights(series_name, (first,) + sigma)
+    get = column.get
+    for sigma, ways, left in _block_splits(rho[1:]):
+        weights = _block_weights(series_name, rho[:1] + sigma)
         if not weights:
             continue
-        ways = 1
-        for part, m in multiplicities(sigma).items():
-            ways *= comb(available[part], m)
-        remainder = _pleth_coeff(series_name, multiset_diff(rest, sigma))
+        remainder = _pleth_coeff(series_name, left)
         for k, weight in weights:
             scale = ways * weight
             for nu, value in remainder:
                 key, m_k = _insert_part(nu, k)
-                column[key] = column.get(key, 0) + m_k * scale * value
+                column[key] = get(key, 0) + m_k * scale * value
     return tuple((nu, value) for nu, value in column.items() if value)
 
 

@@ -8,7 +8,7 @@ enumerations are cached and shared freely.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 
 def _integers(parts) -> tuple:
@@ -225,10 +225,17 @@ def multiset_diff(lam, mu) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def submultisets(lam) -> tuple:
-    """All sub-multisets of a partition, each as a partition tuple."""
-    items = sorted(multiplicities(lam).items(), reverse=True)
-    out = [()]
-    for value, mult in items:
-        out = [prefix + (value,) * k for prefix in out for k in range(mult + 1)]
-    return tuple(tuple(sorted(s, reverse=True)) for s in out)
+def _block_splits(rest) -> tuple:
+    """(sigma, ways, rest - sigma) for each sub-multiset sigma of the partition rest.
+
+    ways = prod_j comb(m_j(rest), m_j(sigma)) counts the position subsets
+    of rest holding sigma. The entries are partition tuples, never ids.
+    """
+    out = [((), 1, ())]
+    for value, mult in multiplicities(rest).items():
+        out = [
+            (sigma + (value,) * k, ways * comb(mult, k), left + (value,) * (mult - k))
+            for sigma, ways, left in out
+            for k in range(mult + 1)
+        ]
+    return tuple(out)

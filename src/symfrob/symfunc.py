@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 
 from .partitions import (
     _PART_ENTRIES,
+    _block_splits,
     _count,
     _part_id,
     as_partition,
@@ -27,7 +28,6 @@ from .partitions import (
     multiset_diff,
     multiset_union,
     partitions_of,
-    submultisets,
     z_value,
 )
 
@@ -46,13 +46,10 @@ class IntegralityError(InternalCheckError):
     """A coefficient that must be an integer is not."""
 
 
-def _normalize_terms(terms, cutoff, validate):
+def _normalize_terms(terms, cutoff):
     out = {}
     for lam, c in terms.items():
-        if validate:
-            lam = as_partition(lam)
-        elif type(lam) is not tuple:
-            lam = tuple(lam)
+        lam = as_partition(lam)
         if type(c) is not Fraction:
             c = Fraction(c)
         if not c:
@@ -68,15 +65,18 @@ class SymFunc:
 
     ``terms`` maps partition tuples to the Fraction coefficient of the
     corresponding power sum product. ``cutoff=None`` marks an exact
-    finite element; an integer cutoff marks a truncated series.
+    finite element; an integer cutoff marks a truncated series. The
+    package's own builders pass ``_validate=False`` and a dict built
+    normalized (nonzero Fraction values, none above the int cutoff).
     """
 
     __slots__ = ("_terms", "cutoff")
 
     def __init__(self, terms=None, cutoff=None, _validate=True):
-        if cutoff is not None:
-            cutoff = _count(cutoff)
-        self._terms = _normalize_terms(terms or {}, cutoff, _validate)
+        if _validate:
+            cutoff = None if cutoff is None else _count(cutoff)
+            terms = _normalize_terms(terms or {}, cutoff)
+        self._terms = terms
         self.cutoff = cutoff
 
     @classmethod
@@ -123,23 +123,18 @@ class SymFunc:
         n = _count(n)
         if self.cutoff is not None and n > self.cutoff:
             raise PrecisionError(f"degree {n} is beyond the cutoff {self.cutoff}")
-        return SymFunc(
-            {lam: c for lam, c in self._terms.items() if sum(lam) == n},
-            None,
-            _validate=False,
-        )
+        terms = {lam: c for lam, c in self._terms.items() if sum(lam) == n}
+        return SymFunc(terms, None, _validate=False)
 
     def truncate(self, n: int) -> "SymFunc":
         """View through degree n as a series with cutoff n."""
+        n = _count(n)
         if self.cutoff is not None and n > self.cutoff:
             raise PrecisionError(
                 f"cannot extend cutoff {self.cutoff} to {n}"
             )
-        return SymFunc(
-            {lam: c for lam, c in self._terms.items() if sum(lam) <= n},
-            n,
-            _validate=False,
-        )
+        terms = {lam: c for lam, c in self._terms.items() if sum(lam) <= n}
+        return SymFunc(terms, n, _validate=False)
 
     # -- ring operations -----------------------------------------------
 
@@ -148,7 +143,7 @@ class SymFunc:
         if isinstance(x, SymFunc):
             return x
         if isinstance(x, (int, Fraction)):
-            return SymFunc({(): x}, None, _validate=False)
+            return SymFunc({(): Fraction(x)} if x else {}, None, _validate=False)
         return NotImplemented
 
     @staticmethod
@@ -166,7 +161,11 @@ class SymFunc:
         cutoff = self._min_cutoff(self.cutoff, other.cutoff)
         out = dict(self._terms)
         for lam, c in other._terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
+            total = out.get(lam, 0) + c
+            if total:
+                out[lam] = total
+            else:
+                del out[lam]
         if cutoff is not None:
             out = {lam: c for lam, c in out.items() if sum(lam) <= cutoff}
         return SymFunc(out, cutoff, _validate=False)
@@ -190,7 +189,7 @@ class SymFunc:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return SymFunc(
-                {lam: c * other for lam, c in self._terms.items()},
+                {lam: c * other for lam, c in self._terms.items()} if other else {},
                 self.cutoff,
                 _validate=False,
             )
@@ -204,8 +203,8 @@ class SymFunc:
                 if cutoff is not None and la + sum(mu) > cutoff:
                     continue
                 key = multiset_union(lam, mu)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return SymFunc(out, cutoff, _validate=False)
+                out[key] = out.get(key, 0) + a * b
+        return SymFunc({k: c for k, c in out.items() if c}, cutoff, _validate=False)
 
     __rmul__ = __mul__
 
@@ -223,10 +222,8 @@ class SymFunc:
     def __eq__(self, other):
         if self is other:
             return True
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-            return self.cutoff is None and self._terms == other._terms
-        if not isinstance(other, SymFunc):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.cutoff == other.cutoff and self._terms == other._terms
 
@@ -377,21 +374,17 @@ def _m_scaled_in_p(lam) -> tuple:
     p_{lam_pi}, where lam_pi has one part per block B, the sum of the
     parts in it. As in ``frobenius._pleth_coeff`` the recursion takes the
     block holding lam[0]: lam[0] plus a sub-multiset sigma of the rest,
-    chosen in prod_j comb(m_j(rest), m_j(sigma)) ways, with weight
-    (-1)^len(sigma) len(sigma)!, merged into the one part lam[0] + |sigma|
-    (|sigma| the sum of its parts).
+    chosen in prod_j comb(m_j(rest), m_j(sigma)) ways (``_block_splits``),
+    with weight (-1)^len(sigma) len(sigma)!, merged into the one part
+    lam[0] + |sigma| (|sigma| the sum of its parts).
     """
     if not lam:
         return (((), 1),)
-    first, rest = lam[0], lam[1:]
-    available = multiplicities(rest)
     out = {}
-    for sigma in submultisets(rest):
-        c = (-1) ** len(sigma) * factorial(len(sigma))
-        for part, m in multiplicities(sigma).items():
-            c *= comb(available[part], m)
-        merged = (first + sum(sigma),)
-        for nu, d in _m_scaled_in_p(multiset_diff(rest, sigma)):
+    for sigma, ways, left in _block_splits(lam[1:]):
+        c = (-1) ** len(sigma) * factorial(len(sigma)) * ways
+        merged = (lam[0] + sum(sigma),)
+        for nu, d in _m_scaled_in_p(left):
             key = multiset_union(merged, nu)
             out[key] = out.get(key, 0) + c * d
     return tuple((nu, c) for nu, c in out.items() if c)
@@ -401,7 +394,7 @@ def from_basis(basis: str, lam) -> SymFunc:
     """The basis element with the given index, as an exact SymFunc."""
     lam = as_partition(lam)
     if basis == "p":
-        return SymFunc({lam: 1}, None, _validate=False)
+        return SymFunc({lam: Fraction(1)}, None, _validate=False)
     if basis in ("h", "e"):
         scale = prod(map(factorial, lam))
         n = sum(lam)
@@ -430,10 +423,11 @@ def _int_column_sum(f: SymFunc, column) -> tuple:
     """
     denominator = lcm(*(c.denominator for c in f._terms.values()))
     totals: dict = {}
+    get = totals.get
     for nu, c in f._terms.items():
         a = c.numerator * (denominator // c.denominator)
         for mu, value in column(nu):
-            totals[mu] = totals.get(mu, 0) + a * value
+            totals[mu] = get(mu, 0) + a * value
     return totals, denominator
 
 
@@ -570,8 +564,8 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
             if not weight:
                 continue
             key = multiset_diff(nu, mu)
-            out[key] = out.get(key, Fraction(0)) + a * b * weight
-    return SymFunc(out, None, _validate=False)
+            out[key] = out.get(key, 0) + a * b * weight
+    return SymFunc({k: c for k, c in out.items() if c}, None, _validate=False)
 
 
 def _pk_plethysm(k: int, g: SymFunc) -> SymFunc:
@@ -607,8 +601,8 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
         for part in lam:
             prod = prod * pk[part]
         for rho, a in prod._terms.items():
-            out[rho] = out.get(rho, Fraction(0)) + c * a
-    return SymFunc(out, cutoff, _validate=False)
+            out[rho] = out.get(rho, 0) + c * a
+    return SymFunc({k: c for k, c in out.items() if c}, cutoff, _validate=False)
 
 
 # -- standard series ------------------------------------------------------
@@ -675,7 +669,9 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
         else:
             support = partitions_of(n)
         for lam in support:
-            terms[lam] = _series_coefficient(name, lam)
+            c = _series_coefficient(name, lam)
+            if c:
+                terms[lam] = c
     return SymFunc(terms, cutoff, _validate=False)
 
 
@@ -713,8 +709,8 @@ def from_serializable(data: dict) -> SymFunc:
     basis = data["basis"]
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    cutoff = data.get("cutoff")
-    total = SymFunc.zero()
+    cutoff = None if data.get("cutoff") is None else _count(data["cutoff"])
+    totals: dict = {}
     for term in data["terms"]:
         lam = as_partition(term["partition"])
         if cutoff is not None and sum(lam) > cutoff:
@@ -722,5 +718,7 @@ def from_serializable(data: dict) -> SymFunc:
         num, den = int(term["num"]), int(term["den"])
         if den == 0:
             raise ValueError(f"zero denominator in the term of {lam}")
-        total = total + from_basis(basis, lam) * Fraction(num, den)
-    return total if cutoff is None else total.truncate(cutoff)
+        scale = Fraction(num, den)
+        for nu, c in from_basis(basis, lam)._terms.items():
+            totals[nu] = totals.get(nu, 0) + scale * c
+    return SymFunc({k: c for k, c in totals.items() if c}, cutoff, _validate=False)

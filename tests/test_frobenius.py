@@ -51,6 +51,7 @@ from symfrob.symfunc import (
     kronecker,
     leading_term,
     lyndon_sf,
+    omega,
     plethysm,
     skew,
     standard_series,
@@ -194,6 +195,68 @@ def test_pleth_memo_is_independent_of_call_order():
         return {n: [(fsur(f), fsurinv(f)) for f in inputs[n]] for n in degrees}
 
     assert transforms((8, 4)) == transforms((4, 8))
+
+
+def assert_normalized(f):
+    # The builder contract: partition tuple keys, nonzero Fraction values,
+    # an int cutoff or None, and no term above the cutoff.
+    assert f.cutoff is None or type(f.cutoff) is int, f.cutoff
+    for lam, c in f.terms():
+        assert type(lam) is tuple and all(type(part) is int for part in lam), lam
+        assert list(lam) == sorted(lam, reverse=True) and 0 not in lam, lam
+        assert type(c) is Fraction and c, (lam, c)
+        assert f.cutoff is None or sum(lam) <= f.cutoff, (lam, f.cutoff)
+
+
+def test_internal_results_are_built_normalized():
+    for lam in partitions_up_to(7):
+        for basis in BASES:
+            assert_normalized(from_basis(basis, lam))
+        assert list(p(*lam).terms()) == [(lam, Fraction(1))]
+    f = s(3, 1, 1) - Fraction(2, 3) * h(4) + p(2, 2, 1)
+    series = standard_series("H", 6)
+    results = [
+        fsur(f),
+        fsurinv(f),
+        omega(f),
+        kronecker(f, h(5)),
+        kronecker(f, series),
+        frobenius_via_roots(f, 6),
+        f.truncate(3),
+        series.truncate(4),
+        f.homogeneous_component(5),
+        series.homogeneous_component(3),
+        standard_series("Lsum", 8),
+        standard_series("Cadogan", 8),
+    ]
+    for result in results:
+        assert_normalized(result)
+    # Lsum and Cadogan drop the rectangles whose Mobius value is 0.
+    for name in ("Lsum", "Cadogan"):
+        terms = dict(standard_series(name, 8).terms())
+        assert not {(4,), (4, 4), (8,)} & set(terms)
+        assert {(2, 2), (2, 2, 2, 2), (1,) * 8} <= set(terms)
+
+
+def test_cancelling_builders_drop_zeros():
+    f = s(3, 1, 1) - Fraction(2, 3) * h(4) + p(2, 2, 1)
+    cancelled = [f - f, f * 0, 0 * f, f * Fraction(0), f + (-f)]
+    for result in cancelled:
+        assert_normalized(result)
+        assert result.is_zero and not list(result.terms())
+    assert_normalized(f + 0)
+    assert f + 0 == f and 0 + f == f
+    assert_normalized(f.truncate(4) - f)
+    # p21 cancels in the product, p1 in the skew and p2 in the plethysm.
+    product = (p(1) + p(2)) * (p(1) - p(2))
+    assert_normalized(product)
+    assert product == p(1, 1) - p(2, 2)
+    skewed = skew(p(1) - p(2), p(1, 1) + p(2, 1))
+    assert_normalized(skewed)
+    assert skewed == p(2)
+    composed = plethysm(p(1) + p(2), p(1) - p(2))
+    assert_normalized(composed)
+    assert composed == p(1) - p(4)
 
 
 def test_clear_caches_empties_every_memo():
@@ -404,6 +467,8 @@ def test_fsurinv_e_words_composition_invariance():
         pytest.param(lambda c: SymFunc({(): 1}, c), 0, id="cutoff"),
         pytest.param(lambda n: (p(1) + p(2)) ** n, 0, id="pow"),
         pytest.param(lambda n: s(2, 1).homogeneous_component(n), 0, id="component"),
+        pytest.param(lambda n: s(2, 1).truncate(n), 0, id="truncate"),
+        pytest.param(lambda n: standard_series("H", 3).truncate(n), 0, id="truncate_series"),
         pytest.param(lyndon_sf, 1, id="lyndon_sf"),
         pytest.param(lambda c: standard_series("H", c), 0, id="standard_series"),
         pytest.param(lambda k: power_value_at_unity(k, (2, 1)), 1, id="power_value"),

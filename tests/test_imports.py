@@ -108,6 +108,47 @@ def test_no_assert_statements():
     assert found == []
 
 
+def fraction_private_uses(source: str) -> list:
+    """Lines that reach past the public Fraction API: the ``_normalize``
+    keyword, the ``_numerator``/``_denominator`` slots, or a Fraction made
+    by ``object.__new__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "_normalize":
+            found.append(node.value.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+            found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__new__"
+            and any(ast.unparse(arg) == "Fraction" for arg in node.args)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_fraction_private_api():
+    # Fraction's private fields and its _normalize keyword differ across
+    # Python 3.10-3.13; the kernels use only the public constructor.
+    found = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in fraction_private_uses(path.read_text())
+    ]
+    assert found == []
+
+
+def test_fraction_private_use_is_reported():
+    source = (
+        "from fractions import Fraction\n"
+        "a = Fraction(1, 2, _normalize=False)\n"
+        "b = a._numerator + a._denominator\n"
+        "c = object.__new__(Fraction)\n"
+        "d = Fraction(3, 4).numerator\n"
+    )
+    assert fraction_private_uses(source) == [2, 3, 3, 4]
+
+
 def test_cli_import_budget():
     # Each CLI command is one interpreter, so every module symfrob.cli pulls
     # in is paid on every command; dataclasses alone (with inspect, ast,

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from symfrob.frobenius import coeff, fsur_h_direct
 from symfrob.partitions import (
+    _block_splits,
     as_partition,
     canonical_key,
     conjugate,
@@ -163,3 +166,21 @@ def test_parse_and_format():
         parse_partition("[a]")
     for lam in partitions_up_to(6):
         assert parse_partition(format_partition(lam)) == lam
+
+
+def test_block_splits_enumerate_each_sub_multiset_once():
+    for rest in partitions_up_to(8):
+        splits = _block_splits(rest)
+        # Each sub-multiset, counted over the position subsets holding it.
+        by_positions = Counter(
+            tuple(rest[i] for i in chosen)
+            for size in range(len(rest) + 1)
+            for chosen in combinations(range(len(rest)), size)
+        )
+        sigmas = [sigma for sigma, _, _ in splits]
+        assert len(sigmas) == len(set(sigmas)), rest
+        assert {sigma: ways for sigma, ways, _ in splits} == dict(by_positions), rest
+        assert sum(ways for _, ways, _ in splits) == 2 ** len(rest), rest
+        for sigma, _, left in splits:
+            assert as_partition(sigma) == sigma and as_partition(left) == left
+            assert tuple(sorted(sigma + left, reverse=True)) == rest, (rest, sigma, left)

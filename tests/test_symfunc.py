@@ -573,6 +573,16 @@ def test_from_serializable_rejects_term_above_cutoff():
     assert from_serializable(blob) == (p(3) + p(1)).truncate(3)
 
 
+@pytest.mark.parametrize("cutoff", ["3", 2.5, -1, [3]])
+def test_from_serializable_rejects_bad_cutoff(cutoff):
+    blob = {"basis": "p", "terms": [{"partition": [1], "num": "1", "den": "1"}]}
+    blob["cutoff"] = cutoff
+    with pytest.raises(ValueError, match="counts must be integers"):
+        from_serializable(blob)
+    blob["cutoff"] = 3.0
+    assert from_serializable(blob) == p(1).truncate(3)
+
+
 def test_from_serializable_rejects_zero_denominator():
     blob = {
         "basis": "s",
