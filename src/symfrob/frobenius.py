@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations, product
-from math import gcd
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
@@ -43,7 +43,7 @@ from .symfunc import (
     InternalCheckError,
     SymFunc,
     _int_column_sum,
-    _s_in_p,
+    _s_scaled_in_p,
     _series_coefficient,
     from_basis,
     plethysm,
@@ -70,14 +70,15 @@ def _block_weights(series_name: str, block) -> tuple:
     z = z_value(block)
     out = []
     for k in divisors(gcd(*block)):
-        lam = tuple(part // k for part in block)
-        weight = z * _series_coefficient(series_name, lam)
-        if weight.denominator != 1:
+        c = _series_coefficient(series_name, tuple(part // k for part in block))
+        if not c:
+            continue
+        weight, remainder = divmod(z * c.numerator, c.denominator)
+        if remainder:
             raise IntegralityError(
-                f"weight of block {block} under p_{k}[{series_name}] is {weight}"
+                f"weight of block {block} under p_{k}[{series_name}] is {z * c}"
             )
-        if weight:
-            out.append((k, int(weight)))
+        out.append((k, weight))
     return tuple(out)
 
 
@@ -658,12 +659,15 @@ def restriction_coeff_eval(lam, mu) -> int:
 
 @lru_cache(maxsize=None)
 def _restriction_coeff_eval(lam, mu) -> int:
-    total = Fraction(0)
-    for rho, c in _s_in_p(mu):
-        total += c * _schur_at_unity(lam, rho)
-    if total.denominator != 1:
-        raise IntegralityError(f"r coefficient for {lam}, {mu} is {total}")
-    return int(total)
+    """|mu|! r is the int sum of chi_mu(rho) |mu|!/z_rho s_lam(rho) over rho."""
+    size = factorial(sum(mu))
+    total = sum(c * _schur_at_unity(lam, rho) for rho, c in _s_scaled_in_p(mu))
+    value, remainder = divmod(total, size)
+    if remainder:
+        raise IntegralityError(
+            f"r coefficient for {lam}, {mu} is {Fraction(total, size)}"
+        )
+    return value
 
 
 def witness_search(mu, k: int):

@@ -7,6 +7,13 @@ is an exact element of the polynomial ring; ``cutoff=N`` marks a
 truncated series, known exactly through degree N with nothing stored
 above. Pairing a series that is too short raises PrecisionError rather
 than truncating silently.
+
+A basis element is built in ints: its p-expansion times one scale (n!
+for s_lam, the product of the part factorials for h_lam and e_lam, that
+of the multiplicity factorials for m_lam) is a memoized row of ints.
+``from_basis`` keeps that row, and its Fraction terms are built only
+when read; the integer column sums of the transforms and of the h and
+m conversions read the row itself.
 """
 
 from __future__ import annotations
@@ -68,16 +75,41 @@ class SymFunc:
     finite element; an integer cutoff marks a truncated series. The
     package's own builders pass ``_validate=False`` and a dict built
     normalized (nonzero Fraction values, none above the int cutoff).
+
+    A basis element from ``from_basis`` holds its integer row instead:
+    ``_row`` is ``(pairs, scale)``, the element being the sum of
+    ``c / scale`` times ``p_nu`` over the pairs ``(nu, c)``, every c a
+    nonzero int. Its Fraction terms are built the first time ``_terms``
+    is read, and ``_int_column_sum`` reads the row without them.
     """
 
-    __slots__ = ("_terms", "cutoff")
+    __slots__ = ("_dict", "_row", "cutoff")
 
     def __init__(self, terms=None, cutoff=None, _validate=True):
         if _validate:
             cutoff = None if cutoff is None else _count(cutoff)
             terms = _normalize_terms(terms or {}, cutoff)
-        self._terms = terms
+        self._dict = terms
+        self._row = None
         self.cutoff = cutoff
+
+    @classmethod
+    def _from_row(cls, pairs, scale: int) -> "SymFunc":
+        """The exact element sum of (c / scale) p_nu over the (nu, c) pairs."""
+        f = cls.__new__(cls)
+        f._dict = None
+        f._row = (pairs, scale)
+        f.cutoff = None
+        return f
+
+    @property
+    def _terms(self) -> dict:
+        """The partition -> Fraction dict, built from the row on first read."""
+        terms = self._dict
+        if terms is None:
+            pairs, scale = self._row
+            terms = self._dict = {nu: Fraction(c, scale) for nu, c in pairs}
+        return terms
 
     @classmethod
     def zero(cls, cutoff=None):
@@ -197,9 +229,10 @@ class SymFunc:
             return NotImplemented
         cutoff = self._min_cutoff(self.cutoff, other.cutoff)
         out = {}
+        other_terms = other._terms.items()
         for lam, a in self._terms.items():
             la = sum(lam)
-            for mu, b in other._terms.items():
+            for mu, b in other_terms:
                 if cutoff is not None and la + sum(mu) > cutoff:
                     continue
                 key = multiset_union(lam, mu)
@@ -235,8 +268,9 @@ class SymFunc:
             body = "0"
         else:
             bits = []
+            terms = self._terms
             for lam in self.support():
-                c = self._terms[lam]
+                c = terms[lam]
                 coef = "" if c == 1 and lam else str(c) + ("*" if lam else "")
                 mono = "p[%s]" % ",".join(str(p) for p in lam) if lam else ""
                 bits.append(coef + mono if (coef or mono) else "1")
@@ -263,38 +297,59 @@ def character_value(lam, mu) -> int:
 def _character_value(lam, mu) -> int:
     """chi_lam(mu) for two partition tuples of one size, unchecked.
 
-    Border strip (Murnaghan-Nakayama) recursion on beta numbers: removing
-    a strip of size mu_0 subtracts mu_0 from one beta number, and the sign
-    is the number of beta numbers jumped over.
+    The beta set of lam, one bead at lam_i + (len(lam) - 1 - i) for each
+    part, is read as a bitmask by ``_border_strip_sum``.
     """
-    if not lam:
+    mask = 0
+    for i, part in enumerate(reversed(lam)):
+        mask |= 1 << (part + i)
+    return _border_strip_sum(mask, mu)
+
+
+@lru_cache(maxsize=None)
+def _border_strip_sum(mask: int, mu) -> int:
+    """chi(mu) of the partition whose beta set is the bitmask mask.
+
+    Murnaghan-Nakayama (Macdonald I.7): removing a border strip of size
+    k = mu[0] moves a bead from b down to an empty position b - k, with
+    the sign (-1)^(beads strictly between). The beads that can move are
+    ``mask & ~(mask << k)``, above the lowest k positions. Beads filling
+    0, 1, ... are zero parts, so each new mask is keyed with that run
+    shifted out.
+    """
+    if not mu:
         return 1
     k, rest = mu[0], mu[1:]
-    n = len(lam)
-    beta = [lam[i] + (n - 1 - i) for i in range(n)]
-    bset = set(beta)
+    movable = (mask & ~(mask << k)) >> k << k
     total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        newlam = tuple(
-            c - (n - 1 - i) for i, c in enumerate(newbeta) if c - (n - 1 - i) > 0
-        )
-        total += (-1) ** height * _character_value(newlam, rest)
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        landing = bead >> k
+        moved = mask ^ bead ^ landing
+        zero_parts = (moved ^ (moved + 1)).bit_length() - 1
+        value = _border_strip_sum(moved >> zero_parts, rest)
+        if (mask & (bead - (landing << 1))).bit_count() & 1:
+            total -= value
+        else:
+            total += value
     return total
 
 
 @lru_cache(maxsize=None)
-def _s_in_p(lam) -> tuple:
+def _s_scaled_in_p(lam) -> tuple:
+    """s_lam times |lam|!, in the p basis as (mu, int) pairs.
+
+    n! s_lam is the sum over mu of n of chi_lam(mu) n!/z_mu p_mu, the
+    character times the size of the class mu, an int (Macdonald I.7.8).
+    """
     n = sum(lam)
+    size = factorial(n)
     out = []
     for mu in partitions_of(n):
         chi = _character_value(lam, mu)
         if chi:
-            out.append((mu, Fraction(chi, z_value(mu))))
+            out.append((mu, chi * (size // z_value(mu))))
     return tuple(out)
 
 
@@ -391,41 +446,53 @@ def _m_scaled_in_p(lam) -> tuple:
 
 
 def from_basis(basis: str, lam) -> SymFunc:
-    """The basis element with the given index, as an exact SymFunc."""
+    """The basis element with the given index, as an exact SymFunc.
+
+    The element keeps its integer row, its Fraction terms built when
+    first read: an s, h or m element is ``_s_scaled_in_p``,
+    ``_h_scaled_in_p`` or ``_m_scaled_in_p`` over its scale, and e_lam
+    is h_lam's row with the sign (-1)^(|nu| - len(nu)) on the term nu.
+    """
     lam = as_partition(lam)
     if basis == "p":
-        return SymFunc({lam: Fraction(1)}, None, _validate=False)
-    if basis in ("h", "e"):
-        scale = prod(map(factorial, lam))
-        n = sum(lam)
-        pairs = (
-            (nu, Fraction(c if basis == "h" else (-1) ** (n - len(nu)) * c, scale))
-            for nu, c in _h_scaled_in_p(lam)
-        )
+        pairs, scale = ((lam, 1),), 1
     elif basis == "s":
-        pairs = _s_in_p(lam)
+        pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
+    elif basis in ("h", "e"):
+        pairs, scale = _h_scaled_in_p(lam), prod(map(factorial, lam))
+        if basis == "e":
+            n = sum(lam)
+            pairs = tuple((nu, -c if (n - len(nu)) & 1 else c) for nu, c in pairs)
     elif basis == "m":
+        pairs = _m_scaled_in_p(lam)
         scale = prod(map(factorial, multiplicities(lam).values()))
-        pairs = ((nu, Fraction(c, scale)) for nu, c in _m_scaled_in_p(lam))
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return SymFunc(dict(pairs), None, _validate=False)
+    return SymFunc._from_row(pairs, scale)
 
 
 def _int_column_sum(f: SymFunc, column) -> tuple:
     """Sum f's coefficients along memoized integer columns: (totals, D).
 
-    D is the common denominator of f's coefficients, so a_nu = D f_nu is
-    an int, and totals[mu] is the int sum of a_nu * c over the terms nu
-    of f and the pairs (mu, c) of ``column(nu)``, mu a partition id.
-    Totals that cancel to 0 are kept; the callers drop them as they turn
-    each id back into its partition.
+    f is the sum of (a_nu / D) p_nu with int a_nu: a basis element gives
+    its row and scale as they are, any other f the numerators over the
+    common denominator D of its coefficients. totals[mu] is the int sum
+    of a_nu * c over the terms nu of f and the pairs (mu, c) of
+    ``column(nu)``, mu a partition id. Totals that cancel to 0 are kept;
+    the callers drop them as they turn each id back into its partition.
     """
-    denominator = lcm(*(c.denominator for c in f._terms.values()))
+    if f._row is None:
+        terms = f._terms
+        denominator = lcm(*(c.denominator for c in terms.values()))
+        pairs = (
+            (nu, c.numerator * (denominator // c.denominator))
+            for nu, c in terms.items()
+        )
+    else:
+        pairs, denominator = f._row
     totals: dict = {}
     get = totals.get
-    for nu, c in f._terms.items():
-        a = c.numerator * (denominator // c.denominator)
+    for nu, a in pairs:
         for mu, value in column(nu):
             totals[mu] = get(mu, 0) + a * value
     return totals, denominator
@@ -444,14 +511,15 @@ def to_basis(f: SymFunc, basis: str) -> dict:
         return dict(f._terms)
     if basis == "s":
         out = {}
-        degrees = {sum(lam) for lam in f._terms}
+        terms = f._terms
+        degrees = {sum(lam) for lam in terms}
         for n in degrees:
             for lam in partitions_of(n):
                 c = sum(
                     (
-                        _character_value(lam, mu) * f._terms[mu]
+                        _character_value(lam, mu) * terms[mu]
                         for mu in partitions_of(n)
-                        if mu in f._terms
+                        if mu in terms
                     ),
                     Fraction(0),
                 )
@@ -504,8 +572,9 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
             f"series cutoff {g.cutoff} below pairing degree {f.degree}"
         )
     total = Fraction(0)
+    get = g._terms.get
     for lam, a in f._terms.items():
-        b = g._terms.get(lam)
+        b = get(lam)
         if b is not None:
             total += z_value(lam) * a * b
     return total
@@ -515,9 +584,11 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     """Kronecker product: diagonal on power sums with eigenvalue z_lam."""
     cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
     out = {}
-    small, large = (f, g) if len(f._terms) <= len(g._terms) else (g, f)
-    for lam, a in small._terms.items():
-        b = large._terms.get(lam)
+    small, large = (f._terms, g._terms)
+    if len(small) > len(large):
+        small, large = large, small
+    for lam, a in small.items():
+        b = large.get(lam)
         if b is not None and (cutoff is None or sum(lam) <= cutoff):
             out[lam] = z_value(lam) * a * b
     return SymFunc(out, cutoff, _validate=False)
@@ -547,11 +618,12 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
         )
     out = {}
     fdeg = f.degree
+    f_terms = f._terms.items()
     for mu, b in g._terms.items():
         if sum(mu) > fdeg:
             continue
         mu_mult = multiplicities(mu)
-        for nu, a in f._terms.items():
+        for nu, a in f_terms:
             nu_mult = multiplicities(nu)
             weight = 1
             for k, m in mu_mult.items():
@@ -622,6 +694,8 @@ def lyndon_sf(n: int) -> SymFunc:
 
 # The degree at which each standard series starts.
 _SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "Cadogan": 1}
+# The zero coefficient, shared: most block weights of Lsum and Cadogan read it.
+_ZERO = Fraction(0)
 
 
 def _series_coefficient(name: str, lam) -> Fraction:
@@ -637,11 +711,13 @@ def _series_coefficient(name: str, lam) -> Fraction:
         raise ValueError(f"unknown series {name!r}")
     n = sum(lam)
     if n < _SERIES_START[name]:
-        return Fraction(0)
+        return _ZERO
     omega_sign = (-1) ** (n - len(lam))
     if name in ("Lsum", "Cadogan"):
-        c = lyndon_sf(n)._terms.get(lam, Fraction(0))
-        return c if name == "Lsum" else c * omega_sign * (-1) ** (n - 1)
+        c = lyndon_sf(n)._terms.get(lam, _ZERO)
+        if name == "Lsum" or not c:
+            return c
+        return c * omega_sign * (-1) ** (n - 1)
     if name[0] == "H":
         return Fraction(1, z_value(lam))
     sign = omega_sign if name == "E" else omega_sign * (-1) ** n

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 from hypothesis import strategies as st
@@ -51,6 +52,33 @@ def m_in_p_by_transpose(n):
         for mu, c in column_by_partition(_p_in_h(nu)).items():
             table[mu][nu] = Fraction(c, z_value(nu))
     return {mu: SymFunc(terms) for mu, terms in table.items()}
+
+
+@lru_cache(maxsize=None)
+def character_by_beta_numbers(lam, mu):
+    """chi_lam(mu) by the Murnaghan-Nakayama recursion on a list of beta numbers.
+
+    Removing a border strip of size mu[0] subtracts mu[0] from one beta
+    number, and the sign is the number of beta numbers jumped over.
+    """
+    if not lam:
+        return 1
+    k, rest = mu[0], mu[1:]
+    n = len(lam)
+    beta = [lam[i] + (n - 1 - i) for i in range(n)]
+    bset = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
+        newlam = tuple(
+            c - (n - 1 - i) for i, c in enumerate(newbeta) if c - (n - 1 - i) > 0
+        )
+        total += (-1) ** height * character_by_beta_numbers(newlam, rest)
+    return total
 
 
 def partition_up_to(n):

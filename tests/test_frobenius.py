@@ -181,6 +181,27 @@ def test_fsur_of_p40_enumerates_no_partitions_of_40(monkeypatch):
     assert max(requested, default=0) < 40
 
 
+def test_fsur_of_schur_leaves_its_input_unmaterialized():
+    # The adjoint engine reads the integer row; no Fraction term of s_lam is built.
+    for lam in [(3, 2, 1), (6, 2, 1, 1), (1,) * 9]:
+        f = from_basis("s", lam)
+        images = fsur(f), fsurinv(f)
+        assert f._dict is None, lam
+        eager = SymFunc(dict(f.terms()))
+        assert images == (fsur(eager), fsurinv(eager)), lam
+
+
+def test_transforms_agree_on_a_basis_element_and_its_eager_rebuild():
+    # The row branch and the common-denominator branch of the column sum.
+    for basis in BASES:
+        for lam in partitions_up_to(6):
+            lazy = from_basis(basis, lam)
+            eager = SymFunc(dict(from_basis(basis, lam).terms()))
+            assert lazy._row is not None and eager._row is None
+            assert fsur(lazy) == fsur(eager), (basis, lam)
+            assert fsurinv(lazy) == fsurinv(eager), (basis, lam)
+
+
 def test_pleth_memo_is_independent_of_call_order():
     # One memo entry serves every input degree, so filling it from degree 8
     # first must give what filling it from degree 4 first gives.

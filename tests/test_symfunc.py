@@ -13,6 +13,7 @@ from symfrob.symfunc import (
     PrecisionError,
     _SERIES_START,
     SymFunc,
+    _character_value,
     _p_in_h,
     _p_in_m,
     _series_coefficient,
@@ -33,6 +34,7 @@ from symfrob.symfunc import (
 )
 
 from helpers import (
+    character_by_beta_numbers,
     column_by_partition,
     dual_jacobi_trudi,
     h_series_by_exponential,
@@ -521,6 +523,62 @@ def test_character_examples():
 def test_character_rejects_non_partitions(lam, mu):
     with pytest.raises(ValueError):
         character_value(lam, mu)
+
+
+def test_bitmask_characters_match_the_beta_number_recursion():
+    symfrob.clear_caches()
+    for n in range(11):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                want = character_by_beta_numbers(lam, mu)
+                assert _character_value(lam, mu) == want, (lam, mu)
+
+
+def test_border_strip_memo_keeps_one_entry_per_partition():
+    # Zero parts are shifted out of each key, so chi_lam(1^6) over every
+    # lam of 6 meets each partition of k <= 6 under one mask only.
+    symfrob.clear_caches()
+    for lam in partitions_of(6):
+        _character_value(lam, (1,) * 6)
+    entries = symfrob.cache_stats()["symfrob.symfunc._border_strip_sum"]["entries"]
+    assert entries == sum(len(partitions_of(k)) for k in range(7))
+
+
+def test_character_table_columns_are_orthogonal():
+    # sum_lam chi_lam(mu) chi_lam(nu) is z_mu when mu = nu and 0 otherwise.
+    for n in range(11):
+        shapes = partitions_of(n)
+        for mu in shapes:
+            for nu in shapes:
+                total = sum(
+                    character_value(lam, mu) * character_value(lam, nu)
+                    for lam in shapes
+                )
+                assert total == (z_value(mu) if mu == nu else 0), (mu, nu)
+
+
+# -- basis elements held as integer rows -------------------------------------------
+
+
+def test_basis_element_terms_are_its_row_over_its_scale():
+    for basis in BASES:
+        for lam in partitions_up_to(7):
+            f = from_basis(basis, lam)
+            pairs, scale = f._row
+            assert f._dict is None, (basis, lam)
+            assert all(type(c) is int and c for _, c in pairs), (basis, lam)
+            want = {nu: Fraction(c, scale) for nu, c in pairs}
+            assert dict(f.terms()) == want, (basis, lam)
+
+
+def test_basis_element_equality_and_hash_match_an_eager_rebuild():
+    for basis in BASES:
+        for lam in partitions_up_to(7):
+            eager = SymFunc(dict(from_basis(basis, lam).terms()))
+            assert eager._row is None
+            lazy = from_basis(basis, lam)
+            assert hash(lazy) == hash(eager), (basis, lam)
+            assert eager == from_basis(basis, lam) and lazy == eager, (basis, lam)
 
 
 # -- serialization ----------------------------------------------------------------------
