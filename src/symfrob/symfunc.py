@@ -9,11 +9,13 @@ above. Pairing a series that is too short raises PrecisionError rather
 than truncating silently.
 
 A basis element is built in ints: its p-expansion times one scale (n!
-for s_lam, the product of the part factorials for h_lam and e_lam, that
-of the multiplicity factorials for m_lam) is a memoized row of ints.
-``from_basis`` keeps that row, and its Fraction terms are built only
-when read; the integer column sums of the transforms and of the h and
-m conversions read the row itself.
+for s_lam, the product of the part factorials for h_lam, that of the
+multiplicity factorials for m_lam) is a memoized row of ints, and e_lam
+is omega(h_lam), the same row signed. ``from_basis`` and ``omega`` keep
+that row, and its Fraction terms are built only when read; the integer
+column sums of the transforms and of the h, e and m conversions read the
+row itself. Characters have one memo, ``_border_strip_sum``, keyed by
+the bead mask of lam and the class mu.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .partitions import (
     _PART_ENTRIES,
     _block_splits,
     _count,
+    _integers,
     _part_id,
     as_partition,
     canonical_key,
@@ -54,9 +57,18 @@ class IntegralityError(InternalCheckError):
 
 
 def _normalize_terms(terms, cutoff):
+    """Validated terms: int and Fraction coefficients, an integral float
+    read as its int; any other coefficient raises ValueError."""
     out = {}
     for lam, c in terms.items():
         lam = as_partition(lam)
+        if not isinstance(c, (int, Fraction)):
+            try:
+                (c,) = _integers((c,))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"coefficients must be ints or Fractions, got {c!r}"
+                ) from None
         if type(c) is not Fraction:
             c = Fraction(c)
         if not c:
@@ -71,10 +83,12 @@ class SymFunc:
     """A symmetric function in the internal power sum representation.
 
     ``terms`` maps partition tuples to the Fraction coefficient of the
-    corresponding power sum product. ``cutoff=None`` marks an exact
-    finite element; an integer cutoff marks a truncated series. The
-    package's own builders pass ``_validate=False`` and a dict built
-    normalized (nonzero Fraction values, none above the int cutoff).
+    corresponding power sum product, given as an int, a Fraction or an
+    integral float (any other value raises ValueError). ``cutoff=None``
+    marks an exact finite element; an integer cutoff marks a truncated
+    series. The package's own builders pass ``_validate=False`` and a
+    dict built normalized (nonzero Fraction values, none above the int
+    cutoff).
 
     A basis element from ``from_basis`` holds its integer row instead:
     ``_row`` is ``(pairs, scale)``, the element being the sum of
@@ -290,20 +304,15 @@ def character_value(lam, mu) -> int:
     lam, mu = as_partition(lam), as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"character needs |lam| = |mu|, got {lam} and {mu}")
-    return _character_value(lam, mu)
+    return _border_strip_sum(_beta_mask(lam), mu)
 
 
-@lru_cache(maxsize=None)
-def _character_value(lam, mu) -> int:
-    """chi_lam(mu) for two partition tuples of one size, unchecked.
-
-    The beta set of lam, one bead at lam_i + (len(lam) - 1 - i) for each
-    part, is read as a bitmask by ``_border_strip_sum``.
-    """
+def _beta_mask(lam) -> int:
+    """The beta set of lam as a bitmask, one bead at lam_i + (len(lam) - 1 - i)."""
     mask = 0
     for i, part in enumerate(reversed(lam)):
         mask |= 1 << (part + i)
-    return _border_strip_sum(mask, mu)
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -345,9 +354,10 @@ def _s_scaled_in_p(lam) -> tuple:
     """
     n = sum(lam)
     size = factorial(n)
+    mask = _beta_mask(lam)
     out = []
     for mu in partitions_of(n):
-        chi = _character_value(lam, mu)
+        chi = _border_strip_sum(mask, mu)
         if chi:
             out.append((mu, chi * (size // z_value(mu))))
     return tuple(out)
@@ -451,18 +461,17 @@ def from_basis(basis: str, lam) -> SymFunc:
     The element keeps its integer row, its Fraction terms built when
     first read: an s, h or m element is ``_s_scaled_in_p``,
     ``_h_scaled_in_p`` or ``_m_scaled_in_p`` over its scale, and e_lam
-    is h_lam's row with the sign (-1)^(|nu| - len(nu)) on the term nu.
+    is omega(h_lam) (Macdonald I.2), h_lam's row signed by ``omega``.
     """
     lam = as_partition(lam)
     if basis == "p":
         pairs, scale = ((lam, 1),), 1
     elif basis == "s":
         pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
-    elif basis in ("h", "e"):
+    elif basis == "h":
         pairs, scale = _h_scaled_in_p(lam), prod(map(factorial, lam))
-        if basis == "e":
-            n = sum(lam)
-            pairs = tuple((nu, -c if (n - len(nu)) & 1 else c) for nu, c in pairs)
+    elif basis == "e":
+        return omega(from_basis("h", lam))
     elif basis == "m":
         pairs = _m_scaled_in_p(lam)
         scale = prod(map(factorial, multiplicities(lam).values()))
@@ -504,25 +513,21 @@ def to_basis(f: SymFunc, basis: str) -> dict:
     For a series the expansion covers degrees up to the cutoff. The h and
     m coefficients sum each term f_nu p_nu along the integer column of
     p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), the
-    e coefficients are the h coefficients of the degree involution, and
-    the Schur coefficients are character sums.
+    e coefficients are the h coefficients of ``omega(f)`` (a basis
+    element's integer row for all three), and the Schur coefficient of
+    lam is the sum of chi_lam(nu) f_nu over f's terms nu of lam's degree.
     """
     if basis == "p":
         return dict(f._terms)
     if basis == "s":
+        by_degree: dict = {}
+        for nu, c in f._terms.items():
+            by_degree.setdefault(sum(nu), []).append((nu, c))
         out = {}
-        terms = f._terms
-        degrees = {sum(lam) for lam in terms}
-        for n in degrees:
+        for n, terms in by_degree.items():
             for lam in partitions_of(n):
-                c = sum(
-                    (
-                        _character_value(lam, mu) * terms[mu]
-                        for mu in partitions_of(n)
-                        if mu in terms
-                    ),
-                    Fraction(0),
-                )
+                mask = _beta_mask(lam)
+                c = sum(_border_strip_sum(mask, nu) * a for nu, a in terms)
                 if c:
                     out[lam] = c
         return out
@@ -595,12 +600,15 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
 
 
 def omega(f: SymFunc) -> SymFunc:
-    """Degree involution: p_k -> (-1)^(k-1) p_k."""
-    return SymFunc(
-        {lam: c * (-1) ** (sum(lam) - len(lam)) for lam, c in f._terms.items()},
-        f.cutoff,
-        _validate=False,
-    )
+    """Degree involution: p_k -> (-1)^(k-1) p_k, so p_nu gains (-1)^(|nu| - len(nu)).
+
+    A basis element keeps its integer row, signed, over its scale.
+    """
+    pairs = f._terms.items() if f._row is None else f._row[0]
+    signed = tuple((nu, -c if (sum(nu) - len(nu)) & 1 else c) for nu, c in pairs)
+    if f._row is None:
+        return SymFunc(dict(signed), f.cutoff, _validate=False)
+    return SymFunc._from_row(signed, f._row[1])
 
 
 def skew(g: SymFunc, f: SymFunc) -> SymFunc:

@@ -1,7 +1,8 @@
 """Every name a symfrob module imports is used there, every private
-module-level helper is used somewhere in the package, no module uses an
-assert statement, and the CLI loads no standard library module beyond
-what its own imports need."""
+module-level helper is used somewhere in the package, every lru_cache
+decorates a module-level function, no module uses an assert statement,
+and the CLI loads no standard library module beyond what its own imports
+need."""
 
 import ast
 import os
@@ -95,6 +96,67 @@ def test_dead_helper_is_reported():
         "b.py": "from a import _used\n\n\nclass _Gone:\n    pass\n\n\nx = _used()\n",
     }
     assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]
+
+
+def misplaced_caches(source: str) -> list:
+    """Lines of each lru_cache that does not decorate a module-level function.
+
+    ``clear_caches()`` finds memos only as module attributes and then
+    empties the partition id table, so a memo on a method, a nested
+    function or a wrapped value would keep ids that no longer exist.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                allowed.add(id(decorator))
+                if isinstance(decorator, ast.Call):
+                    allowed.add(id(decorator.func))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+        )
+        and id(node) not in allowed
+    )
+
+
+def test_every_cache_decorates_a_module_level_function():
+    found = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in misplaced_caches(path.read_text())
+    ]
+    assert found == []
+
+
+def test_misplaced_cache_is_reported():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n):\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def inner(k):\n"
+        "        return k\n"
+        "    return inner(n)\n"
+        "\n"
+        "@functools.lru_cache\n"
+        "def b(n):\n"
+        "    return n\n"
+        "\n"
+        "class C:\n"
+        "    @lru_cache\n"
+        "    def m(self):\n"
+        "        return 1\n"
+        "\n"
+        "d = functools.lru_cache(maxsize=8)(b)\n"
+    )
+    assert misplaced_caches(source) == [6, 16, 20]
 
 
 def test_no_assert_statements():

@@ -13,7 +13,6 @@ from symfrob.symfunc import (
     PrecisionError,
     _SERIES_START,
     SymFunc,
-    _character_value,
     _p_in_h,
     _p_in_m,
     _series_coefficient,
@@ -206,6 +205,16 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
+def test_e_conversion_of_a_basis_element_stays_on_its_row():
+    # omega keeps a basis element's integer row, so the e conversion reads
+    # that row as the h and m conversions do and builds no Fraction terms.
+    for basis in BASES:
+        for lam in partitions_up_to(7):
+            f = from_basis(basis, lam)
+            to_basis(f, "e")
+            assert f._dict is None, (basis, lam)
+
+
 def test_integral_transition_between_integral_bases():
     for src in ("m", "e", "h", "s"):
         for dst in ("m", "e", "h", "s"):
@@ -228,6 +237,15 @@ def test_product_pieri_oracle():
         for k in range(1, 4):
             assert from_basis("s", lam) * h(k) == schur_product_by_pieri(lam, k, "h")
             assert from_basis("s", lam) * e(k) == schur_product_by_pieri(lam, k, "e")
+
+
+def test_coefficients_are_ints_fractions_or_integral_floats():
+    f = SymFunc({(2, 1): Fraction(1, 3), (1,): -4, (3,): 2.0})
+    assert f == SymFunc({(2, 1): Fraction(1, 3), (1,): -4, (3,): 2})
+    assert all(type(c) is Fraction for _, c in f.terms())
+    for bad in (0.1, 2.5, float("nan"), float("inf"), "1/2", "3", None, 1j):
+        with pytest.raises(ValueError):
+            SymFunc({(1,): bad})
 
 
 def test_multiplicative_identities():
@@ -328,6 +346,14 @@ def test_omega_involution_and_isometry():
         g = random_symfunc(rng, 4, basis="h")
         assert omega(omega(f)) == f
         assert hall(omega(f), omega(g)) == hall(f, g)
+    for basis in BASES:
+        for lam in partitions_up_to(5):
+            f = from_basis(basis, lam)
+            eager = SymFunc(dict(from_basis(basis, lam).terms()))
+            image = omega(f)
+            assert image._row is not None and f._dict is None, (basis, lam)
+            assert image == omega(eager) and omega(image) == eager, (basis, lam)
+            assert hall(image, omega(f)) == hall(eager, eager), (basis, lam)
 
 
 # -- skew -----------------------------------------------------------------------
@@ -531,7 +557,7 @@ def test_bitmask_characters_match_the_beta_number_recursion():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 want = character_by_beta_numbers(lam, mu)
-                assert _character_value(lam, mu) == want, (lam, mu)
+                assert character_value(lam, mu) == want, (lam, mu)
 
 
 def test_border_strip_memo_keeps_one_entry_per_partition():
@@ -539,7 +565,7 @@ def test_border_strip_memo_keeps_one_entry_per_partition():
     # lam of 6 meets each partition of k <= 6 under one mask only.
     symfrob.clear_caches()
     for lam in partitions_of(6):
-        _character_value(lam, (1,) * 6)
+        character_value(lam, (1,) * 6)
     entries = symfrob.cache_stats()["symfrob.symfunc._border_strip_sum"]["entries"]
     assert entries == sum(len(partitions_of(k)) for k in range(7))
 
