@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
@@ -136,20 +136,18 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """Apply the Hall adjoint of plethysm-by-series to the exact element f.
 
     The p_nu coefficient of the result is (1/z_nu) sum_rho f_rho
-    <p_nu[g], p_rho>. With f's coefficients over one common denominator
-    D, the sum runs in ints along each memoized column, keyed by
-    partition id, and each nonzero total reads its (nu, z_nu) from the id
-    table once to become the one Fraction total / (D z_nu).
+    <p_nu[g], p_rho>. With f's int numerators over its denominator D,
+    the sum runs in ints along each memoized column, keyed by partition
+    id. With L the lcm of the z_nu of the nonzero totals, the result is
+    total * (L / z_nu) over D * L, reduced once.
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
-    out = {}
-    for nu, total in totals.items():
-        if total:
-            lam, z = _PART_ENTRIES[nu]
-            out[lam] = Fraction(total, denominator * z)
-    return SymFunc(out, None, _validate=False)
+    entries = [(_PART_ENTRIES[nu], total) for nu, total in totals.items() if total]
+    scale = lcm(*(z for (_, z), _ in entries))
+    nums = {lam: total * (scale // z) for (lam, z), total in entries}
+    return SymFunc._build(nums, denominator * scale)
 
 
 def fsur(f: SymFunc) -> SymFunc:
@@ -297,9 +295,7 @@ def fsur_e_direct(lam) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def _divisor_power_sum(g: int, size: int) -> SymFunc:
-    return SymFunc(
-        {(d,): Fraction(d ** (size - 1)) for d in divisors(g)}, None, _validate=False
-    )
+    return SymFunc._build({(d,): d ** (size - 1) for d in divisors(g)})
 
 
 def _set_partition_profiles(values) -> Counter:
@@ -673,15 +669,17 @@ def _restriction_coeff_eval(lam, mu) -> int:
 def witness_search(mu, k: int):
     """Smallest-width witness lam with lam_1 <= k and positive r, or None.
 
-    Search bound |lam| <= k * |mu|: in the degree-|mu| slice of the
-    transform each unit of a multiplicity assignment contributes at most
-    k cells to lam. The bound is inferred from the direct-formula
-    construction (not stated as such in the source material) and is
-    validated against the Durfee criterion by the acceptance sweep. The
-    bound is loose in practice: over the k=2 sweep of every |mu| <= 12
-    (254 witnesses, 18 None) the largest ratio of witness size to k*|mu|
-    is 11/24, at mu = (1^12) with witness (1^11), and every witness for
-    a nonempty mu there has |lam| <= |mu| - 1.
+    Search bound |lam| <= k * |mu|. r_lam^mu is <s_lam, s_mu[H]>; split
+    H = A + B with A = 1 + h_1 + ... + h_k. Then s_mu[A + B] is the sum
+    over nu of s_nu[A] s_{mu/nu}[B] (Macdonald I.8). For j > k every Schur
+    term of s_alpha[h_j], |alpha| >= 1, has first row at least j: it is
+    Schur positive and a summand of h_j^|alpha|, whose terms have at least
+    j columns by Pieri's rule, and Schur products keep the longest first
+    row of their factors. So only nu = mu pairs nonzero with s_lam when
+    lam_1 <= k: r_lam^mu = <s_lam, s_mu[A]>, of degree at most k|mu|. The
+    bound is loose: in the k=2 sweep of every |mu| <= 12 (254 witnesses,
+    18 None) the largest witness is 11/24 of k*|mu|, at mu = (1^12), and
+    every witness has |lam| <= |mu| - 1; a None still searches it all.
     """
     mu = as_partition(mu)
     k = _count(k, 1)

@@ -67,4 +67,4 @@ def frobenius_via_roots(f: SymFunc, cutoff: int) -> SymFunc:
             value = eval_at_unity(f, mu)
             if value:
                 terms[mu] = value / z_value(mu)
-    return SymFunc(terms, cutoff, _validate=False)
+    return SymFunc(terms, cutoff)

@@ -1,28 +1,27 @@
 """Exact arithmetic in the ring of symmetric functions and its completion.
 
-Elements are stored in the power sum basis with Fraction coefficients:
-Kronecker products are diagonal there, plethysm is index substitution,
-and the degree involution is a sign flip. A SymFunc with ``cutoff=None``
-is an exact element of the polynomial ring; ``cutoff=N`` marks a
-truncated series, known exactly through degree N with nothing stored
-above. Pairing a series that is too short raises PrecisionError rather
-than truncating silently.
+Elements are stored in the power sum basis as int numerators over one
+reduced denominator: Kronecker products are diagonal there, plethysm is
+index substitution, and the degree involution is a sign flip. A SymFunc
+with ``cutoff=None`` is an exact element of the polynomial ring;
+``cutoff=N`` marks a truncated series, known exactly through degree N
+with nothing stored above. Pairing a series that is too short raises
+PrecisionError rather than truncating silently.
 
-A basis element is built in ints: its p-expansion times one scale (n!
-for s_lam, the product of the part factorials for h_lam, that of the
-multiplicity factorials for m_lam) is a memoized row of ints, and e_lam
-is omega(h_lam), the same row signed. ``from_basis`` and ``omega`` keep
-that row, and its Fraction terms are built only when read; the integer
-column sums of the transforms and of the h, e and m conversions read the
-row itself. Characters have one memo, ``_border_strip_sum``, keyed by
-the bead mask of lam and the class mu.
+Every builder works in ints and reduces its result once. A basis element
+is a memoized row of ints over one scale (n! for s_lam, the product of
+the part factorials for h_lam, that of the multiplicity factorials for
+m_lam), reduced once and memoized itself; e_lam is omega(h_lam).
+Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
+of lam and the class mu. A Fraction is built only when a coefficient is
+read, and the Schur conversion still sums Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .partitions import (
     _PART_ENTRIES,
@@ -56,74 +55,73 @@ class IntegralityError(InternalCheckError):
     """A coefficient that must be an integer is not."""
 
 
-def _normalize_terms(terms, cutoff):
-    """Validated terms: int and Fraction coefficients, an integral float
-    read as its int; any other coefficient raises ValueError."""
-    out = {}
-    for lam, c in terms.items():
-        lam = as_partition(lam)
-        if not isinstance(c, (int, Fraction)):
-            try:
-                (c,) = _integers((c,))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"coefficients must be ints or Fractions, got {c!r}"
-                ) from None
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if not c:
-            continue
-        if cutoff is not None and sum(lam) > cutoff:
-            raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
-        out[lam] = c
-    return out
+def _over_common_denominator(coefficients: dict) -> tuple:
+    """(nums, den) for nonzero int or Fraction values: den is the lcm of
+    their denominators, so the pair is already reduced."""
+    den = lcm(*(c.denominator for c in coefficients.values()))
+    nums = {lam: c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
+    return nums, den
 
 
 class SymFunc:
     """A symmetric function in the internal power sum representation.
 
-    ``terms`` maps partition tuples to the Fraction coefficient of the
+    ``terms`` maps partition tuples to the coefficient of the
     corresponding power sum product, given as an int, a Fraction or an
     integral float (any other value raises ValueError). ``cutoff=None``
     marks an exact finite element; an integer cutoff marks a truncated
-    series. The package's own builders pass ``_validate=False`` and a
-    dict built normalized (nonzero Fraction values, none above the int
-    cutoff).
+    series.
 
-    A basis element from ``from_basis`` holds its integer row instead:
-    ``_row`` is ``(pairs, scale)``, the element being the sum of
-    ``c / scale`` times ``p_nu`` over the pairs ``(nu, c)``, every c a
-    nonzero int. Its Fraction terms are built the first time ``_terms``
-    is read, and ``_int_column_sum`` reads the row without them.
+    The element is the sum of (_nums[nu] / _den) p_nu: every value of
+    ``_nums`` is a nonzero int, ``_den`` > 0, gcd(_den, *_nums.values())
+    is 1 and no key lies above the cutoff. The pair is unique, so
+    equality and hashing compare it. ``_build``, the constructor of the
+    package's builders, drops zeros and reduces.
     """
 
-    __slots__ = ("_dict", "_row", "cutoff")
+    __slots__ = ("_nums", "_den", "cutoff")
 
-    def __init__(self, terms=None, cutoff=None, _validate=True):
-        if _validate:
-            cutoff = None if cutoff is None else _count(cutoff)
-            terms = _normalize_terms(terms or {}, cutoff)
-        self._dict = terms
-        self._row = None
+    def __init__(self, terms=None, cutoff=None):
+        cutoff = None if cutoff is None else _count(cutoff)
+        out = {}
+        for lam, c in (terms or {}).items():
+            lam = as_partition(lam)
+            if not isinstance(c, (int, Fraction)):
+                try:
+                    (c,) = _integers((c,))
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"coefficients must be ints or Fractions, got {c!r}"
+                    ) from None
+            if not c:
+                continue
+            if cutoff is not None and sum(lam) > cutoff:
+                raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
+            out[lam] = c
+        self._nums, self._den = _over_common_denominator(out)
         self.cutoff = cutoff
 
     @classmethod
-    def _from_row(cls, pairs, scale: int) -> "SymFunc":
-        """The exact element sum of (c / scale) p_nu over the (nu, c) pairs."""
+    def _normalized(cls, nums: dict, den: int, cutoff=None) -> "SymFunc":
+        """The element of a pair that is already normalized (see the class)."""
         f = cls.__new__(cls)
-        f._dict = None
-        f._row = (pairs, scale)
-        f.cutoff = None
+        f._nums = nums
+        f._den = den
+        f.cutoff = cutoff
         return f
 
-    @property
-    def _terms(self) -> dict:
-        """The partition -> Fraction dict, built from the row on first read."""
-        terms = self._dict
-        if terms is None:
-            pairs, scale = self._row
-            terms = self._dict = {nu: Fraction(c, scale) for nu, c in pairs}
-        return terms
+    @classmethod
+    def _build(cls, nums: dict, den: int = 1, cutoff=None) -> "SymFunc":
+        """The sum of (nums[nu] / den) p_nu, int values and den > 0, with
+        zeros dropped and the pair divided by its gcd. The caller keeps
+        every key within the cutoff."""
+        nums = {lam: c for lam, c in nums.items() if c}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {lam: c // g for lam, c in nums.items()}
+                den //= g
+        return cls._normalized(nums, den, cutoff)
 
     @classmethod
     def zero(cls, cutoff=None):
@@ -137,7 +135,7 @@ class SymFunc:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     @property
     def is_series(self) -> bool:
@@ -146,14 +144,15 @@ class SymFunc:
     @property
     def degree(self) -> int:
         """Largest degree with a nonzero term (0 for the zero element)."""
-        return max((sum(lam) for lam in self._terms), default=0)
+        return max((sum(lam) for lam in self._nums), default=0)
 
     def terms(self):
-        """Iterate (partition, coefficient) pairs, unspecified order."""
-        return self._terms.items()
+        """Iterate (partition, Fraction coefficient) pairs, unspecified order."""
+        den = self._den
+        return {lam: Fraction(c, den) for lam, c in self._nums.items()}.items()
 
     def support(self) -> list:
-        return sorted(self._terms, key=canonical_key)
+        return sorted(self._nums, key=canonical_key)
 
     def coefficient(self, lam) -> Fraction:
         """Coefficient of p_lam; raises PrecisionError beyond the cutoff."""
@@ -162,15 +161,15 @@ class SymFunc:
             raise PrecisionError(
                 f"degree {sum(lam)} is beyond the cutoff {self.cutoff}"
             )
-        return self._terms.get(lam, Fraction(0))
+        return Fraction(self._nums.get(lam, 0), self._den)
 
     def homogeneous_component(self, n: int) -> "SymFunc":
         """The exact degree-n part (requires n within the cutoff)."""
         n = _count(n)
         if self.cutoff is not None and n > self.cutoff:
             raise PrecisionError(f"degree {n} is beyond the cutoff {self.cutoff}")
-        terms = {lam: c for lam, c in self._terms.items() if sum(lam) == n}
-        return SymFunc(terms, None, _validate=False)
+        nums = {lam: c for lam, c in self._nums.items() if sum(lam) == n}
+        return SymFunc._build(nums, self._den)
 
     def truncate(self, n: int) -> "SymFunc":
         """View through degree n as a series with cutoff n."""
@@ -179,17 +178,20 @@ class SymFunc:
             raise PrecisionError(
                 f"cannot extend cutoff {self.cutoff} to {n}"
             )
-        terms = {lam: c for lam, c in self._terms.items() if sum(lam) <= n}
-        return SymFunc(terms, n, _validate=False)
+        nums = {lam: c for lam, c in self._nums.items() if sum(lam) <= n}
+        return SymFunc._build(nums, self._den, n)
 
     # -- ring operations -----------------------------------------------
 
     @staticmethod
     def _coerce(x):
+        """x as a SymFunc: an int, Fraction or float as an exact constant,
+        under the constructor's coefficient rule (2.0 is 2, 0.5 raises
+        ValueError); NotImplemented for any other type."""
         if isinstance(x, SymFunc):
             return x
-        if isinstance(x, (int, Fraction)):
-            return SymFunc({(): Fraction(x)} if x else {}, None, _validate=False)
+        if isinstance(x, (int, float, Fraction)):
+            return SymFunc({(): x})
         return NotImplemented
 
     @staticmethod
@@ -205,23 +207,13 @@ class SymFunc:
         if other is NotImplemented:
             return NotImplemented
         cutoff = self._min_cutoff(self.cutoff, other.cutoff)
-        out = dict(self._terms)
-        for lam, c in other._terms.items():
-            total = out.get(lam, 0) + c
-            if total:
-                out[lam] = total
-            else:
-                del out[lam]
-        if cutoff is not None:
-            out = {lam: c for lam, c in out.items() if sum(lam) <= cutoff}
-        return SymFunc(out, cutoff, _validate=False)
+        return _linear_combination(((1, self), (1, other)), cutoff)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymFunc(
-            {lam: -c for lam, c in self._terms.items()}, self.cutoff, _validate=False
-        )
+        nums = {lam: -c for lam, c in self._nums.items()}
+        return SymFunc._normalized(nums, self._den, self.cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -233,25 +225,12 @@ class SymFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymFunc(
-                {lam: c * other for lam, c in self._terms.items()} if other else {},
-                self.cutoff,
-                _validate=False,
-            )
-        if not isinstance(other, SymFunc):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         cutoff = self._min_cutoff(self.cutoff, other.cutoff)
-        out = {}
-        other_terms = other._terms.items()
-        for lam, a in self._terms.items():
-            la = sum(lam)
-            for mu, b in other_terms:
-                if cutoff is not None and la + sum(mu) > cutoff:
-                    continue
-                key = multiset_union(lam, mu)
-                out[key] = out.get(key, 0) + a * b
-        return SymFunc({k: c for k, c in out.items() if c}, cutoff, _validate=False)
+        nums = _product(self._nums, other._nums, cutoff)
+        return SymFunc._build(nums, self._den * other._den, cutoff)
 
     __rmul__ = __mul__
 
@@ -269,28 +248,76 @@ class SymFunc:
     def __eq__(self, other):
         if self is other:
             return True
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except ValueError:
+            # A float that is not an integer equals no element.
+            return False
         if other is NotImplemented:
             return NotImplemented
-        return self.cutoff == other.cutoff and self._terms == other._terms
+        return (self.cutoff, self._den, self._nums) == (other.cutoff, other._den, other._nums)
 
     def __hash__(self):
-        return hash((self.cutoff, frozenset(self._terms.items())))
+        # An exact constant hashes as its scalar, which it equals.
+        if self.cutoff is None and self._nums.keys() <= {()}:
+            return hash(Fraction(self._nums.get((), 0), self._den))
+        return hash((self.cutoff, self._den, frozenset(self._nums.items())))
 
     def __repr__(self):
         if self.is_zero:
             body = "0"
         else:
             bits = []
-            terms = self._terms
             for lam in self.support():
-                c = terms[lam]
+                c = Fraction(self._nums[lam], self._den)
                 coef = "" if c == 1 and lam else str(c) + ("*" if lam else "")
                 mono = "p[%s]" % ",".join(str(p) for p in lam) if lam else ""
                 bits.append(coef + mono if (coef or mono) else "1")
             body = " + ".join(bits)
         tail = "" if self.cutoff is None else f" (cutoff {self.cutoff})"
         return f"<SymFunc {body}{tail}>"
+
+
+def _linear_combination(pairs, cutoff=None) -> SymFunc:
+    """The sum of c * f over the (c, f) pairs, each c an int or a Fraction,
+    over one common denominator and reduced once; terms above the cutoff
+    are dropped."""
+    den = lcm(*(c.denominator * f._den for c, f in pairs))
+    out: dict = {}
+    get = out.get
+    for c, f in pairs:
+        scale = c.numerator * (den // (c.denominator * f._den))
+        for lam, a in f._nums.items():
+            out[lam] = get(lam, 0) + scale * a
+    if cutoff is not None:
+        out = {lam: a for lam, a in out.items() if sum(lam) <= cutoff}
+    return SymFunc._build(out, den, cutoff)
+
+
+def _by_degree(terms) -> dict:
+    """The (partition, coefficient) pairs of terms, grouped by degree."""
+    groups: dict = {}
+    for lam, c in terms:
+        groups.setdefault(sum(lam), []).append((lam, c))
+    return groups
+
+
+def _product(a: dict, b: dict, cutoff) -> dict:
+    """The int numerators of a product through the cutoff. Both factors are
+    grouped by degree once, and the cutoff is tested once per pair of
+    degrees, not once per pair of terms."""
+    right = _by_degree(b.items())
+    out: dict = {}
+    get = out.get
+    for m, left_terms in _by_degree(a.items()).items():
+        for n, right_terms in right.items():
+            if cutoff is not None and m + n > cutoff:
+                continue
+            for lam, x in left_terms:
+                for mu, y in right_terms:
+                    key = multiset_union(lam, mu)
+                    out[key] = get(key, 0) + x * y
+    return out
 
 
 # -- characters and basis expansions ------------------------------------
@@ -458,73 +485,63 @@ def _m_scaled_in_p(lam) -> tuple:
 def from_basis(basis: str, lam) -> SymFunc:
     """The basis element with the given index, as an exact SymFunc.
 
-    The element keeps its integer row, its Fraction terms built when
-    first read: an s, h or m element is ``_s_scaled_in_p``,
-    ``_h_scaled_in_p`` or ``_m_scaled_in_p`` over its scale, and e_lam
-    is omega(h_lam) (Macdonald I.2), h_lam's row signed by ``omega``.
+    An s, h or m element is its integer row (``_s_scaled_in_p``,
+    ``_h_scaled_in_p``, ``_m_scaled_in_p``) over its scale, reduced once
+    and memoized; e_lam is omega(h_lam) (Macdonald I.2).
     """
-    lam = as_partition(lam)
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
+    return _basis_element(basis, as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _basis_element(basis: str, lam) -> SymFunc:
+    """``from_basis`` on a validated basis name and partition tuple."""
     if basis == "p":
-        pairs, scale = ((lam, 1),), 1
-    elif basis == "s":
+        return SymFunc._normalized({lam: 1}, 1)
+    if basis == "e":
+        return omega(_basis_element("h", lam))
+    if basis == "s":
         pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
     elif basis == "h":
         pairs, scale = _h_scaled_in_p(lam), prod(map(factorial, lam))
-    elif basis == "e":
-        return omega(from_basis("h", lam))
-    elif basis == "m":
+    else:
         pairs = _m_scaled_in_p(lam)
         scale = prod(map(factorial, multiplicities(lam).values()))
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return SymFunc._from_row(pairs, scale)
+    return SymFunc._build(dict(pairs), scale)
 
 
 def _int_column_sum(f: SymFunc, column) -> tuple:
-    """Sum f's coefficients along memoized integer columns: (totals, D).
+    """Sum f's numerators along memoized integer columns: (totals, D).
 
-    f is the sum of (a_nu / D) p_nu with int a_nu: a basis element gives
-    its row and scale as they are, any other f the numerators over the
-    common denominator D of its coefficients. totals[mu] is the int sum
-    of a_nu * c over the terms nu of f and the pairs (mu, c) of
+    f is the sum of (a_nu / D) p_nu with int a_nu. totals[mu] is the int
+    sum of a_nu * c over the terms nu of f and the pairs (mu, c) of
     ``column(nu)``, mu a partition id. Totals that cancel to 0 are kept;
     the callers drop them as they turn each id back into its partition.
     """
-    if f._row is None:
-        terms = f._terms
-        denominator = lcm(*(c.denominator for c in terms.values()))
-        pairs = (
-            (nu, c.numerator * (denominator // c.denominator))
-            for nu, c in terms.items()
-        )
-    else:
-        pairs, denominator = f._row
     totals: dict = {}
     get = totals.get
-    for nu, a in pairs:
+    for nu, a in f._nums.items():
         for mu, value in column(nu):
             totals[mu] = get(mu, 0) + a * value
-    return totals, denominator
+    return totals, f._den
 
 
 def to_basis(f: SymFunc, basis: str) -> dict:
     """Expand f in the given basis: mapping partition -> Fraction.
 
     For a series the expansion covers degrees up to the cutoff. The h and
-    m coefficients sum each term f_nu p_nu along the integer column of
-    p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), the
-    e coefficients are the h coefficients of ``omega(f)`` (a basis
-    element's integer row for all three), and the Schur coefficient of
-    lam is the sum of chi_lam(nu) f_nu over f's terms nu of lam's degree.
+    m coefficients sum f's int numerators along the integer column of
+    p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), and
+    the e coefficients are the h coefficients of ``omega(f)``. The Schur
+    coefficient of lam is the sum of chi_lam(nu) f_nu over f's terms nu
+    of lam's degree, still in Fraction arithmetic.
     """
     if basis == "p":
-        return dict(f._terms)
+        return dict(f.terms())
     if basis == "s":
-        by_degree: dict = {}
-        for nu, c in f._terms.items():
-            by_degree.setdefault(sum(nu), []).append((nu, c))
         out = {}
-        for n, terms in by_degree.items():
+        for n, terms in _by_degree(f.terms()).items():
             for lam in partitions_of(n):
                 mask = _beta_mask(lam)
                 c = sum(_border_strip_sum(mask, nu) * a for nu, a in terms)
@@ -566,7 +583,8 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall inner product, diagonal on power sums with weight z_lam.
 
     One argument must be exact; a series argument must reach the exact
-    argument's degree.
+    argument's degree. The pairing is the sum of the p-coefficients of
+    the Kronecker product, z_lam f_lam g_lam.
     """
     if f.cutoff is not None and g.cutoff is not None:
         raise ValueError("hall pairing of two truncated series is not defined")
@@ -576,39 +594,31 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
         raise PrecisionError(
             f"series cutoff {g.cutoff} below pairing degree {f.degree}"
         )
-    total = Fraction(0)
-    get = g._terms.get
-    for lam, a in f._terms.items():
-        b = get(lam)
-        if b is not None:
-            total += z_value(lam) * a * b
-    return total
+    product = kronecker(f, g)
+    return Fraction(sum(product._nums.values()), product._den)
 
 
 def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     """Kronecker product: diagonal on power sums with eigenvalue z_lam."""
     cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
     out = {}
-    small, large = (f._terms, g._terms)
+    small, large = f._nums, g._nums
     if len(small) > len(large):
         small, large = large, small
     for lam, a in small.items():
         b = large.get(lam)
         if b is not None and (cutoff is None or sum(lam) <= cutoff):
             out[lam] = z_value(lam) * a * b
-    return SymFunc(out, cutoff, _validate=False)
+    return SymFunc._build(out, f._den * g._den, cutoff)
 
 
 def omega(f: SymFunc) -> SymFunc:
     """Degree involution: p_k -> (-1)^(k-1) p_k, so p_nu gains (-1)^(|nu| - len(nu)).
 
-    A basis element keeps its integer row, signed, over its scale.
+    A sign flip keeps the numerators reduced over the same denominator.
     """
-    pairs = f._terms.items() if f._row is None else f._row[0]
-    signed = tuple((nu, -c if (sum(nu) - len(nu)) & 1 else c) for nu, c in pairs)
-    if f._row is None:
-        return SymFunc(dict(signed), f.cutoff, _validate=False)
-    return SymFunc._from_row(signed, f._row[1])
+    nums = {nu: -c if (sum(nu) - len(nu)) & 1 else c for nu, c in f._nums.items()}
+    return SymFunc._normalized(nums, f._den, f.cutoff)
 
 
 def skew(g: SymFunc, f: SymFunc) -> SymFunc:
@@ -626,8 +636,8 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
         )
     out = {}
     fdeg = f.degree
-    f_terms = f._terms.items()
-    for mu, b in g._terms.items():
+    f_terms = f._nums.items()
+    for mu, b in g._nums.items():
         if sum(mu) > fdeg:
             continue
         mu_mult = multiplicities(mu)
@@ -645,7 +655,7 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
                 continue
             key = multiset_diff(nu, mu)
             out[key] = out.get(key, 0) + a * b * weight
-    return SymFunc({k: c for k, c in out.items() if c}, None, _validate=False)
+    return SymFunc._build(out, g._den * f._den)
 
 
 def _pk_plethysm(k: int, g: SymFunc) -> SymFunc:
@@ -653,11 +663,8 @@ def _pk_plethysm(k: int, g: SymFunc) -> SymFunc:
 
     A series g known through degree c gives p_k[g] known through k*c.
     """
-    return SymFunc(
-        {tuple(p * k for p in mu): c for mu, c in g._terms.items()},
-        None if g.cutoff is None else k * g.cutoff,
-        _validate=False,
-    )
+    nums = {tuple(p * k for p in mu): c for mu, c in g._nums.items()}
+    return SymFunc._normalized(nums, g._den, None if g.cutoff is None else k * g.cutoff)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -666,23 +673,22 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     Defined when f is exact, or when g has no constant term (then only
     finitely many terms of f touch each output degree).
     """
-    has_constant = () in g._terms
+    has_constant = () in g._nums
     if f.cutoff is not None and has_constant:
         raise ValueError(
             "plethysm of a truncated series by a series with constant term"
         )
     cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
-    pk = {k: _pk_plethysm(k, g) for lam in f._terms for k in set(lam)}
-    out: dict = {}
-    for lam, c in f._terms.items():
+    pk = {k: _pk_plethysm(k, g) for lam in f._nums for k in set(lam)}
+    products = []
+    for lam, c in f._nums.items():
         if cutoff is not None and not has_constant and sum(lam) > cutoff:
             continue
         prod = SymFunc.one(cutoff)
         for part in lam:
             prod = prod * pk[part]
-        for rho, a in prod._terms.items():
-            out[rho] = out.get(rho, 0) + c * a
-    return SymFunc({k: c for k, c in out.items() if c}, cutoff, _validate=False)
+        products.append((Fraction(c, f._den), prod))
+    return _linear_combination(products, cutoff)
 
 
 # -- standard series ------------------------------------------------------
@@ -692,18 +698,11 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 def lyndon_sf(n: int) -> SymFunc:
     """The degree-n Lyndon symmetric function (Mobius sum over divisor powers)."""
     n = _count(n, 1)
-    terms = {}
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu:
-            terms[(d,) * (n // d)] = Fraction(mu, n)
-    return SymFunc(terms, None, _validate=False)
+    return SymFunc._build({(d,) * (n // d): mobius(d) for d in divisors(n)}, n)
 
 
 # The degree at which each standard series starts.
 _SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "Cadogan": 1}
-# The zero coefficient, shared: most block weights of Lsum and Cadogan read it.
-_ZERO = Fraction(0)
 
 
 def _series_coefficient(name: str, lam) -> Fraction:
@@ -719,10 +718,10 @@ def _series_coefficient(name: str, lam) -> Fraction:
         raise ValueError(f"unknown series {name!r}")
     n = sum(lam)
     if n < _SERIES_START[name]:
-        return _ZERO
+        return Fraction(0)
     omega_sign = (-1) ** (n - len(lam))
     if name in ("Lsum", "Cadogan"):
-        c = lyndon_sf(n)._terms.get(lam, _ZERO)
+        c = lyndon_sf(n).coefficient(lam)
         if name == "Lsum" or not c:
             return c
         return c * omega_sign * (-1) ** (n - 1)
@@ -756,7 +755,8 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
             c = _series_coefficient(name, lam)
             if c:
                 terms[lam] = c
-    return SymFunc(terms, cutoff, _validate=False)
+    nums, den = _over_common_denominator(terms)
+    return SymFunc._normalized(nums, den, cutoff)
 
 
 def leading_term(f: SymFunc, basis: str = "s"):
@@ -794,7 +794,7 @@ def from_serializable(data: dict) -> SymFunc:
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     cutoff = None if data.get("cutoff") is None else _count(data["cutoff"])
-    totals: dict = {}
+    pairs = []
     for term in data["terms"]:
         lam = as_partition(term["partition"])
         if cutoff is not None and sum(lam) > cutoff:
@@ -802,7 +802,5 @@ def from_serializable(data: dict) -> SymFunc:
         num, den = int(term["num"]), int(term["den"])
         if den == 0:
             raise ValueError(f"zero denominator in the term of {lam}")
-        scale = Fraction(num, den)
-        for nu, c in from_basis(basis, lam)._terms.items():
-            totals[nu] = totals.get(nu, 0) + scale * c
-    return SymFunc({k: c for k, c in totals.items() if c}, cutoff, _validate=False)
+        pairs.append((Fraction(num, den), _basis_element(basis, lam)))
+    return _linear_combination(pairs, cutoff)

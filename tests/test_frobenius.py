@@ -182,22 +182,19 @@ def test_fsur_of_p40_enumerates_no_partitions_of_40(monkeypatch):
 
 
 def test_fsur_of_schur_leaves_its_input_unmaterialized():
-    # The adjoint engine reads the integer row; no Fraction term of s_lam is built.
     for lam in [(3, 2, 1), (6, 2, 1, 1), (1,) * 9]:
         f = from_basis("s", lam)
         images = fsur(f), fsurinv(f)
-        assert f._dict is None, lam
         eager = SymFunc(dict(f.terms()))
         assert images == (fsur(eager), fsurinv(eager)), lam
 
 
 def test_transforms_agree_on_a_basis_element_and_its_eager_rebuild():
-    # The row branch and the common-denominator branch of the column sum.
+    # The memoized basis element and one rebuilt by the public constructor.
     for basis in BASES:
         for lam in partitions_up_to(6):
             lazy = from_basis(basis, lam)
             eager = SymFunc(dict(from_basis(basis, lam).terms()))
-            assert lazy._row is not None and eager._row is None
             assert fsur(lazy) == fsur(eager), (basis, lam)
             assert fsurinv(lazy) == fsurinv(eager), (basis, lam)
 
@@ -565,6 +562,25 @@ def test_a_is_delta_below_diagonal():
         for mu in partitions_up_to(6):
             if sum(lam) <= sum(mu):
                 assert coeff("a", lam, mu) == (1 if lam == mu else 0)
+
+
+def test_witness_bound_reads_r_from_the_first_k_complete_functions():
+    # witness_search's derivation: for lam_1 <= k only the terms of H up to
+    # h_k reach s_lam, so r_lam^mu = <s_lam, s_mu[1 + h_1 + ... + h_k]>,
+    # an element of degree at most k|mu|.
+    checked = 0
+    for k in (1, 2, 3):
+        head = SymFunc.one()
+        for j in range(1, k + 1):
+            head = head + from_basis("h", (j,))
+        for mu in partitions_up_to(4 if k < 3 else 3):
+            image = plethysm(from_basis("s", mu), head)
+            for size in range(k * sum(mu) + 1):
+                for lam in partitions_of(size, max_part=k):
+                    want = hall(from_basis("s", lam), image)
+                    assert restriction_coeff_eval(lam, mu) == want, (k, lam, mu)
+                    checked += 1
+    assert checked == 455
 
 
 def test_restriction_coeff_eval_validates_partitions():

@@ -1,8 +1,8 @@
 """Every name a symfrob module imports is used there, every private
 module-level helper is used somewhere in the package, every lru_cache
 decorates a module-level function, no module uses an assert statement,
-and the CLI loads no standard library module beyond what its own imports
-need."""
+only symfunc.py touches a SymFunc's numerator form, and the CLI loads no
+standard library module beyond what its own imports need."""
 
 import ast
 import os
@@ -209,6 +209,40 @@ def test_fraction_private_use_is_reported():
         "d = Fraction(3, 4).numerator\n"
     )
     assert fraction_private_uses(source) == [2, 3, 3, 4]
+
+
+def representation_uses(source: str) -> list:
+    """Lines that reach a SymFunc's ``_nums`` or ``_den`` slot, or build one
+    with ``_normalized``, which trusts its pair to be reduced already."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den", "_normalized")
+    )
+
+
+def test_representation_stays_in_symfunc():
+    # symfunc.py alone knows the int-numerators-over-one-denominator form;
+    # the other modules read elements through its functions and build them
+    # with SymFunc._build, which reduces what it is given.
+    found = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "symfunc.py"
+        for line in representation_uses(path.read_text())
+    ]
+    assert found == []
+
+
+def test_representation_use_is_reported():
+    source = (
+        "a = f._nums\n"
+        "b = f._den + f.cutoff\n"
+        "c = SymFunc._normalized({}, 1)\n"
+        "d = SymFunc._build({(1,): 2}, 4)\n"
+        "f._nums = {}\n"
+    )
+    assert representation_uses(source) == [1, 2, 3, 5]
 
 
 def test_cli_import_budget():

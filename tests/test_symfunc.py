@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,15 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfrob
-from symfrob.partitions import conjugate, partitions_of, partitions_up_to, z_value
+from symfrob.frobenius import _divisor_power_sum, fsur, fsurinv
+from symfrob.partitions import (
+    conjugate,
+    multiplicities,
+    partitions_of,
+    partitions_up_to,
+    z_value,
+)
 from symfrob.symfunc import (
     BASES,
     IntegralityError,
     PrecisionError,
     _SERIES_START,
     SymFunc,
+    _h_scaled_in_p,
+    _m_scaled_in_p,
     _p_in_h,
     _p_in_m,
+    _s_scaled_in_p,
     _series_coefficient,
     character_value,
     from_basis,
@@ -205,16 +216,6 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
-def test_e_conversion_of_a_basis_element_stays_on_its_row():
-    # omega keeps a basis element's integer row, so the e conversion reads
-    # that row as the h and m conversions do and builds no Fraction terms.
-    for basis in BASES:
-        for lam in partitions_up_to(7):
-            f = from_basis(basis, lam)
-            to_basis(f, "e")
-            assert f._dict is None, (basis, lam)
-
-
 def test_integral_transition_between_integral_bases():
     for src in ("m", "e", "h", "s"):
         for dst in ("m", "e", "h", "s"):
@@ -246,6 +247,33 @@ def test_coefficients_are_ints_fractions_or_integral_floats():
     for bad in (0.1, 2.5, float("nan"), float("inf"), "1/2", "3", None, 1j):
         with pytest.raises(ValueError):
             SymFunc({(1,): bad})
+
+
+def test_scalars_follow_the_coefficient_rule():
+    f = SymFunc({(1,): 2.0}) + s(2, 1)
+    assert f * 2.0 == f * 2 == 2.0 * f
+    assert f + 2.0 == f + 2 == 2.0 + f
+    assert f - 2.0 == f - 2 and 2.0 - f == 2 - f
+    assert SymFunc.one() * 3 == 3.0 and SymFunc.zero() == 0.0
+    for bad in (0.5, float("nan"), float("inf")):
+        for apply in (lambda: f * bad, lambda: f + bad, lambda: bad - f):
+            with pytest.raises(ValueError):
+                apply()
+        assert f != bad
+    for other in ("2", None, 1j, [1]):
+        assert f.__mul__(other) is NotImplemented
+        assert f.__add__(other) is NotImplemented
+        assert f.__eq__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        f * "2"
+
+
+def test_an_exact_constant_hashes_as_its_scalar():
+    for c in (0, 2, -3, Fraction(1, 2), 4.0):
+        constant = SymFunc.one() * c
+        assert constant == c and hash(constant) == hash(c), c
+        assert len({constant, c}) == 1, c
+    assert SymFunc.one(3) != 1
 
 
 def test_multiplicative_identities():
@@ -351,7 +379,6 @@ def test_omega_involution_and_isometry():
             f = from_basis(basis, lam)
             eager = SymFunc(dict(from_basis(basis, lam).terms()))
             image = omega(f)
-            assert image._row is not None and f._dict is None, (basis, lam)
             assert image == omega(eager) and omega(image) == eager, (basis, lam)
             assert hall(image, omega(f)) == hall(eager, eager), (basis, lam)
 
@@ -583,28 +610,104 @@ def test_character_table_columns_are_orthogonal():
                 assert total == (z_value(mu) if mu == nu else 0), (mu, nu)
 
 
-# -- basis elements held as integer rows -------------------------------------------
+# -- basis elements and their integer rows --------------------------------------------
+
+
+def basis_row(basis, lam):
+    """(pairs, scale): the memoized integer row of a basis element and its scale."""
+    if basis == "p":
+        return ((lam, 1),), 1
+    if basis == "s":
+        return _s_scaled_in_p(lam), math.factorial(sum(lam))
+    if basis == "m":
+        scale = math.prod(map(math.factorial, multiplicities(lam).values()))
+        return _m_scaled_in_p(lam), scale
+    pairs, scale = _h_scaled_in_p(lam), math.prod(map(math.factorial, lam))
+    if basis == "e":
+        pairs = tuple((nu, -c if (sum(nu) - len(nu)) % 2 else c) for nu, c in pairs)
+    return pairs, scale
 
 
 def test_basis_element_terms_are_its_row_over_its_scale():
     for basis in BASES:
         for lam in partitions_up_to(7):
             f = from_basis(basis, lam)
-            pairs, scale = f._row
-            assert f._dict is None, (basis, lam)
+            pairs, scale = basis_row(basis, lam)
             assert all(type(c) is int and c for _, c in pairs), (basis, lam)
             want = {nu: Fraction(c, scale) for nu, c in pairs}
             assert dict(f.terms()) == want, (basis, lam)
+            assert SymFunc(dict(f.terms())) == f, (basis, lam)
 
 
 def test_basis_element_equality_and_hash_match_an_eager_rebuild():
     for basis in BASES:
         for lam in partitions_up_to(7):
             eager = SymFunc(dict(from_basis(basis, lam).terms()))
-            assert eager._row is None
             lazy = from_basis(basis, lam)
             assert hash(lazy) == hash(eager), (basis, lam)
             assert eager == from_basis(basis, lam) and lazy == eager, (basis, lam)
+
+
+# -- normalized results ------------------------------------------------------------------
+
+
+def assert_normalized(f):
+    """Int numerators, no zeros, den > 0, gcd 1 and no key above the cutoff."""
+    nums, den = f._nums, f._den
+    assert type(den) is int and den > 0, f
+    assert all(type(lam) is tuple for lam in nums), f
+    assert all(type(c) is int and c for c in nums.values()), f
+    assert math.gcd(den, *nums.values()) == 1, f
+    if f.cutoff is not None:
+        assert all(sum(lam) <= f.cutoff for lam in nums), f
+
+
+@st.composite
+def elements(draw, max_deg=6):
+    """A rational combination of up to four basis elements through max_deg."""
+    total = SymFunc.zero()
+    for basis, lam, c in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(BASES),
+                partition_up_to(max_deg),
+                st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            ),
+            max_size=4,
+        )
+    ):
+        total = total + c * from_basis(basis, lam)
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    f=elements(),
+    g=elements(),
+    c=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    n=st.integers(0, 6),
+    cutoff=st.integers(0, 6),
+    name=st.sampled_from(sorted(_SERIES_START)),
+    basis=st.sampled_from(BASES),
+    lam=partition_up_to(6),
+)
+def test_every_builder_returns_a_normalized_element(f, g, c, n, cutoff, name, basis, lam):
+    series = g.truncate(cutoff)
+    positive = series - series.homogeneous_component(0)
+    outputs = [
+        from_basis(basis, lam), f + g, f - g, f + c, c - f, -f, f * c, f * 2,
+        f * g, f * series, series * series, f + series, skew(g, f),
+        kronecker(f, g), kronecker(f, series), omega(f), omega(series),
+        plethysm(f, series), plethysm(standard_series(name, cutoff), positive),
+        f.truncate(n), series.truncate(min(n, cutoff)), f.homogeneous_component(n),
+        lyndon_sf(n + 1), standard_series(name, cutoff),
+        from_serializable(to_serializable(f, basis)), fsur(f), fsurinv(f),
+        _divisor_power_sum(n + 1, cutoff + 1),
+    ]
+    for out in outputs:
+        assert_normalized(out)
+    assert type(hall(f, g)) is Fraction
+    assert type(hall(f.homogeneous_component(0), series)) is Fraction
 
 
 # -- serialization ----------------------------------------------------------------------
