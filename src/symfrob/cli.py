@@ -42,6 +42,14 @@ from .symfunc import (
 # term   := factor ('*' factor)*
 # factor := atom ('^' uint)? | '(' expr ')' | int
 # atom   := basis '[' uint (',' uint)* ']' | basis '[]'
+#
+# The syntax tree is made of tagged tuples, which compare by tag and
+# fields, hash, pickle and stay immutable as they are:
+#   ("int", value)             ("atom", basis, index)
+#   ("pow", atom, exponent)    ("paren", inner)
+#   ("prod", factors)          ("sum", ((sign, node), ...))
+# A prod has at least two factors, and a sum at least two terms, the
+# first signed "+".
 
 
 class ExprError(ValueError):
@@ -50,88 +58,6 @@ class ExprError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class _Node:
-    """Immutable expression node with slotted fields.
-
-    A node equals only a node of the same class with equal fields, so
-    IntLit(2) != Paren(2); equal nodes hash equal. Plain classes rather
-    than dataclasses keep ``dataclasses`` and its import chain out of
-    every CLI process.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an expression node")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash((type(self), self._values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class IntLit(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        super().__init__(value)
-
-
-class Atom(_Node):
-    __slots__ = ("basis", "index")
-
-    def __init__(self, basis: str, index: tuple):
-        super().__init__(basis, index)
-
-
-class Pow(_Node):
-    __slots__ = ("atom", "exponent")
-
-    def __init__(self, atom: Atom, exponent: int):
-        super().__init__(atom, exponent)
-
-
-class Paren(_Node):
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: object):
-        super().__init__(inner)
-
-
-class Prod(_Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        super().__init__(factors)
-
-
-class Sum(_Node):
-    __slots__ = ("terms",)  # of (sign, node), first sign always '+'
-
-    def __init__(self, terms: tuple):
-        super().__init__(terms)
 
 
 class _ExprParser:
@@ -178,14 +104,14 @@ class _ExprParser:
             op = self.peek()
             self.pos += 1
             terms.append((op, self.term()))
-        return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
+        return terms[0][1] if len(terms) == 1 else ("sum", tuple(terms))
 
     def term(self):
         factors = [self.factor()]
         while self.peek() == "*":
             self.pos += 1
             factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+        return factors[0] if len(factors) == 1 else ("prod", tuple(factors))
 
     def factor(self):
         ch = self.peek()
@@ -193,14 +119,14 @@ class _ExprParser:
             self.pos += 1
             inner = self.expr()
             self.expect(")")
-            return Paren(inner)
+            return ("paren", inner)
         if ch.isdigit():
-            return IntLit(self.uint())
+            return ("int", self.uint())
         if ch in BASES:
             atom = self.atom()
             if self.peek() == "^":
                 self.pos += 1
-                return Pow(atom, self.uint())
+                return ("pow", atom, self.uint())
             return atom
         self.error("expected a factor")
 
@@ -222,55 +148,57 @@ class _ExprParser:
                 index = as_partition(parts)
             except ValueError as exc:
                 raise ExprError(str(exc), self.pos) from None
-        return Atom(basis, index)
+        return ("atom", basis, index)
 
 
 def parse_expr(text: str, sort_indices: bool = False):
-    """Parse an expression into its syntax tree."""
+    """Parse an expression into its syntax tree of tagged tuples."""
     return _ExprParser(text, sort_indices).parse()
 
 
 def format_expr(node) -> str:
     """Render a syntax tree back to source text (parse of the result round-trips)."""
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Atom):
-        return node.basis + "[" + ",".join(str(p) for p in node.index) + "]"
-    if isinstance(node, Pow):
-        return format_expr(node.atom) + "^" + str(node.exponent)
-    if isinstance(node, Paren):
-        return "(" + format_expr(node.inner) + ")"
-    if isinstance(node, Prod):
-        return "*".join(format_expr(f) for f in node.factors)
-    if isinstance(node, Sum):
-        out = format_expr(node.terms[0][1])
-        for sign, term in node.terms[1:]:
-            out += f" {sign} " + format_expr(term)
-        return out
+    match node:
+        case ("int", value):
+            return str(value)
+        case ("atom", basis, index):
+            return basis + "[" + ",".join(str(p) for p in index) + "]"
+        case ("pow", atom, exponent):
+            return format_expr(atom) + "^" + str(exponent)
+        case ("paren", inner):
+            return "(" + format_expr(inner) + ")"
+        case ("prod", factors):
+            return "*".join(format_expr(f) for f in factors)
+        case ("sum", terms):
+            out = format_expr(terms[0][1])
+            for sign, term in terms[1:]:
+                out += f" {sign} " + format_expr(term)
+            return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate_expr(node) -> SymFunc:
     """Evaluate a syntax tree to an exact symmetric function."""
-    if isinstance(node, IntLit):
-        return SymFunc.one() * node.value
-    if isinstance(node, Atom):
-        return from_basis(node.basis, node.index)
-    if isinstance(node, Pow):
-        return evaluate_expr(node.atom) ** node.exponent
-    if isinstance(node, Paren):
-        return evaluate_expr(node.inner)
-    if isinstance(node, Prod):
-        out = SymFunc.one()
-        for factor in node.factors:
-            out = out * evaluate_expr(factor)
-        return out
-    if isinstance(node, Sum):
-        out = SymFunc.zero()
-        for sign, term in node.terms:
-            value = evaluate_expr(term)
-            out = out + (value if sign == "+" else -value)
-        return out
+    match node:
+        case ("int", value):
+            return SymFunc.one() * value
+        case ("atom", basis, index):
+            return from_basis(basis, index)
+        case ("pow", atom, exponent):
+            return evaluate_expr(atom) ** exponent
+        case ("paren", inner):
+            return evaluate_expr(inner)
+        case ("prod", factors):
+            out = SymFunc.one()
+            for factor in factors:
+                out = out * evaluate_expr(factor)
+            return out
+        case ("sum", terms):
+            out = SymFunc.zero()
+            for sign, term in terms:
+                value = evaluate_expr(term)
+                out = out + (value if sign == "+" else -value)
+            return out
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -300,6 +228,14 @@ def _suite_kronecker(maxdeg):
     return checks
 
 
+# The paper's closed forms for fsur of a basis element, one row per basis.
+_DIRECT_FORMULAS = (
+    ("h", frob.fsur_h_direct),
+    ("e", frob.fsur_e_direct),
+    ("p", frob.fsur_p_direct),
+)
+
+
 def _suite_routes(maxdeg):
     checks = []
     for lam in partitions_up_to(maxdeg):
@@ -310,24 +246,15 @@ def _suite_routes(maxdeg):
                 == frob.fsur_expansion(from_basis("s", lam)),
             )
         )
-        checks.append(
-            (
-                f"h formula {format_partition(lam)}",
-                lambda lam=lam: frob.fsur(from_basis("h", lam)) == frob.fsur_h_direct(lam),
+        for basis, direct in _DIRECT_FORMULAS:
+            checks.append(
+                (
+                    f"{basis} formula {format_partition(lam)}",
+                    lambda basis=basis, direct=direct, lam=lam: (
+                        frob.fsur(from_basis(basis, lam)) == direct(lam)
+                    ),
+                )
             )
-        )
-        checks.append(
-            (
-                f"e formula {format_partition(lam)}",
-                lambda lam=lam: frob.fsur(from_basis("e", lam)) == frob.fsur_e_direct(lam),
-            )
-        )
-        checks.append(
-            (
-                f"p formula {format_partition(lam)}",
-                lambda lam=lam: frob.fsur(from_basis("p", lam)) == frob.fsur_p_direct(lam),
-            )
-        )
         for basis in BASES:
             checks.append(
                 (

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import product
 from math import factorial, gcd, lcm
 from types import MappingProxyType
 
@@ -43,6 +43,7 @@ from .symfunc import (
     InternalCheckError,
     SymFunc,
     _int_column_sum,
+    _linear_combination,
     _s_scaled_in_p,
     _series_coefficient,
     from_basis,
@@ -199,14 +200,13 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
     if f.is_zero:
         return SymFunc.zero()
     degree = f.degree
-    out = SymFunc.zero()
+    summands = []
     for m in range(degree // 2 + 1):
         for nu in partitions_of(m):
-            pleth = _schur_plethysm(nu, "Hgeq2", degree)
-            skewed = skew(pleth, f)
+            skewed = skew(_schur_plethysm(nu, "Hgeq2", degree), f)
             if not skewed.is_zero:
-                out = out + from_basis("s", nu) * skewed
-    return out
+                summands.append((1, from_basis("s", nu) * skewed))
+    return _linear_combination(summands)
 
 
 # -- closed-form expansions -------------------------------------------------
@@ -266,10 +266,10 @@ def fsur_h_direct(lam) -> SymFunc:
         if any(v)
     ]
     vectors.sort(key=lambda tv: -sum(tv[1]))
-    out = SymFunc.zero()
-    for (h_vals, _), count in _assignments(vectors, lam).items():
-        out = out + from_basis("h", h_vals) * count
-    return out
+    assignments = _assignments(vectors, lam).items()
+    return _linear_combination(
+        [(count, from_basis("h", h_vals)) for (h_vals, _), count in assignments]
+    )
 
 
 def fsur_e_direct(lam) -> SymFunc:
@@ -287,10 +287,12 @@ def fsur_e_direct(lam) -> SymFunc:
         (sum(v) % 2, v) for v in product((0, 1), repeat=ell) if any(v)
     ]
     vectors.sort(key=lambda tv: -sum(tv[1]))
-    out = SymFunc.zero()
-    for (h_vals, e_vals), count in _assignments(vectors, lam).items():
-        out = out + from_basis("h", h_vals) * from_basis("e", e_vals) * count
-    return out
+    return _linear_combination(
+        [
+            (count, from_basis("h", h_vals) * from_basis("e", e_vals))
+            for (h_vals, e_vals), count in _assignments(vectors, lam).items()
+        ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -331,13 +333,13 @@ def fsur_p_direct(lam) -> SymFunc:
     lam = partition_from_composition(lam)
     if not lam:
         return SymFunc.one()
-    out = SymFunc.zero()
+    summands = []
     for profile, count in _set_partition_profiles(lam).items():
         term = SymFunc.one()
         for g, size in profile:
             term = term * _divisor_power_sum(g, size)
-        out = out + term * count
-    return out
+        summands.append((count, term))
+    return _linear_combination(summands)
 
 
 # -- word formulas for the inverse ------------------------------------------
@@ -377,22 +379,20 @@ def fsurinv_e_words(alpha) -> SymFunc:
     for w in _words_with_content(alpha):
         pi = pi_of_word(w)
         collected[pi] += (-1) ** (total - sum(pi))
-    out = SymFunc.zero()
-    for pi, coefficient in collected.items():
-        if coefficient:
-            out = out + from_basis("e", pi) * coefficient
-    return out
+    return _linear_combination(
+        [(c, from_basis("e", pi)) for pi, c in collected.items() if c]
+    )
 
 
 def fsurinv_h_direct(r: int) -> SymFunc:
     """fsurinv of a single complete homogeneous function: alternating h e sum."""
     r = _count(r)
-    out = SymFunc.zero()
+    summands = []
     for k in range(r // 2 + 1):
-        out = out + from_basis("h", (r - 2 * k,) if r - 2 * k else ()) * from_basis(
-            "e", (k,) if k else ()
-        ) * ((-1) ** k)
-    return out
+        h = from_basis("h", (r - 2 * k,) if r - 2 * k else ())
+        e = from_basis("e", (k,) if k else ())
+        summands.append(((-1) ** k, h * e))
+    return _linear_combination(summands)
 
 
 # -- generating function identities ------------------------------------------
@@ -615,9 +615,10 @@ def _e_values_at_unity(rho, rmax: int) -> tuple:
 def _schur_at_unity(lam, rho) -> int:
     """Schur function of lam evaluated at the eigenvalues attached to rho.
 
-    Dual Jacobi-Trudi determinant in elementary values; the matrix side
-    is the largest part of lam, so narrow lam stay cheap no matter how
-    large they are.
+    Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) in elementary
+    values, of side lam_1, taken by Bareiss fraction-free elimination:
+    O(lam_1^3) integer steps, each division exact, a row swap flipping
+    the sign.
     """
     lam_t = conjugate(lam)
     m = len(lam_t)
@@ -625,22 +626,24 @@ def _schur_at_unity(lam, rho) -> int:
         return 1
     rmax = sum(lam)
     values = _e_values_at_unity(rho, rmax)
-
-    def e(r):
-        return values[r] if 0 <= r <= rmax else 0
-
-    total = 0
-    for perm in permutations(range(m)):
-        inversions = sum(
-            1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
-        )
-        term = 1
-        for i in range(m):
-            term *= e(lam_t[i] - i + perm[i])
-            if not term:
-                break
-        total += (-1) ** inversions * term
-    return total
+    rows = [
+        [values[r] if 0 <= r <= rmax else 0 for r in range(part - i, part - i + m)]
+        for i, part in enumerate(lam_t)
+    ]
+    sign, previous = 1, 1
+    for k in range(m - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for row in rows[k + 1 :]:
+            for j in range(k + 1, m):
+                row[j] = (row[j] * pivot - row[k] * rows[k][j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1]
 
 
 def restriction_coeff_eval(lam, mu) -> int:

@@ -590,6 +590,16 @@ def test_restriction_coeff_eval_validates_partitions():
             restriction_coeff_eval(lam, mu)
 
 
+def test_restriction_coeff_eval_on_wide_partitions():
+    # lam_1 is the side of the Jacobi-Trudi determinant; at cycle types
+    # without fixed points its diagonal starts at e_1 = 0, so elimination
+    # has to swap rows.
+    for lam in ((12,), (9, 3), (7, 2, 2, 1)):
+        for mu in partitions_up_to(3):
+            assert restriction_coeff_eval(lam, mu) == coeff("r", lam, mu), (lam, mu)
+    assert restriction_coeff_eval((12,), (3,)) == 19
+
+
 def test_r_nonnegative_and_eval_route_agrees():
     for lam in partitions_up_to(5):
         for mu in partitions_up_to(5):

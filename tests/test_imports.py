@@ -1,10 +1,12 @@
 """Every name a symfrob module imports is used there, every private
 module-level helper is used somewhere in the package, every lru_cache
 decorates a module-level function, no module uses an assert statement,
-only symfunc.py touches a SymFunc's numerator form, and the CLI loads no
-standard library module beyond what its own imports need."""
+only symfunc.py touches a SymFunc's numerator form, the CLI loads no
+standard library module beyond what its own imports need, and every
+symfrob name the benchmark binds exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 import symfrob
 
 PACKAGE = Path(symfrob.__file__).parent
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -268,3 +271,65 @@ def test_cli_import_budget():
         if name != "__future__" and name != "symfrob" and not name.startswith("symfrob.")
     ]
     assert extra == []
+
+
+def missing_benchmark_names(sources: dict) -> list:
+    """(file, name) of each symfrob name the benchmark binds that does not exist.
+
+    The names are each ``(module, name)`` pair of a ``LAYERS`` dict, and
+    each attribute chain read from ``S`` (the ``symfrob`` package) or
+    ``cli`` (``symfrob.cli``); a chain is reported up to its first
+    missing attribute. A traced run wraps the LAYERS functions by
+    ``getattr``, so a deleted one breaks it, and Tier-1 never runs the
+    benchmark itself.
+    """
+    roots = {"S": "symfrob", "cli": "symfrob.cli"}
+    wanted = set()  # (file, module, label, attribute chain)
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+            ):
+                for pairs in ast.literal_eval(node.value).values():
+                    wanted.update((filename, "symfrob." + m, m, (name,)) for m, name in pairs)
+            elif isinstance(node, ast.Attribute):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.append(node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id in roots:
+                    wanted.add((filename, roots[node.id], node.id, tuple(reversed(chain))))
+    missing = set()
+    for filename, module, label, chain in wanted:
+        value = importlib.import_module(module)
+        for i, attr in enumerate(chain):
+            if not hasattr(value, attr):
+                missing.add((filename, ".".join((label,) + chain[: i + 1])))
+                break
+            value = getattr(value, attr)
+    return sorted(missing)
+
+
+def test_benchmark_names_exist():
+    sources = {
+        name: (BENCHMARKS / name).read_text()
+        for name in ("layertrace.py", "workloads.py", "make_golden.py")
+    }
+    assert missing_benchmark_names(sources) == []
+
+
+def test_missing_benchmark_name_is_reported():
+    sources = {
+        "layertrace.py": "LAYERS = {'L1': (('symfunc', 'from_basis'), ('symfunc', 'gone'))}\n",
+        "workloads.py": (
+            "def op(S):\n"
+            "    return S.from_basis, S.lyndon.parse_word, S.lyndon.gone, S.absent.deeper\n"
+        ),
+        "make_golden.py": "from symfrob import cli\nx = cli.parse_expr\ny = cli.Sum\n",
+    }
+    assert missing_benchmark_names(sources) == [
+        ("layertrace.py", "symfunc.gone"),
+        ("make_golden.py", "cli.Sum"),
+        ("workloads.py", "S.absent"),
+        ("workloads.py", "S.lyndon.gone"),
+    ]
