@@ -300,45 +300,31 @@ def _divisor_power_sum(g: int, size: int) -> SymFunc:
     return SymFunc._build({(d,): d ** (size - 1) for d in divisors(g)})
 
 
-def _set_partition_profiles(values) -> Counter:
-    """Count set partitions of positions by the multiset of (gcd, block size)."""
-    counter: Counter = Counter()
-    blocks: list = []
-
-    def rec(i):
-        if i == len(values):
-            counter[tuple(sorted((b[0], b[1]) for b in blocks))] += 1
-            return
-        v = values[i]
-        for b in blocks:
-            saved = (b[0], b[1])
-            b[0], b[1] = gcd(b[0], v), b[1] + 1
-            rec(i + 1)
-            b[0], b[1] = saved
-        blocks.append([v, 1])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return counter
-
-
 def fsur_p_direct(lam) -> SymFunc:
     """fsur of a power sum product, by the set-partition divisor formula.
 
     Sums over set partitions of the index positions; a block of size s
     with part gcd g contributes the sum of d^(s-1) p_d over divisors d
-    of g. Blocks with equal profile are counted once and scaled.
+    of g.
     """
-    lam = partition_from_composition(lam)
+    return _fsur_p_direct(partition_from_composition(lam))
+
+
+@lru_cache(maxsize=None)
+def _fsur_p_direct(lam) -> SymFunc:
+    """``fsur_p_direct`` on a partition tuple.
+
+    As in ``_pleth_coeff`` the recursion takes the block holding lam[0]:
+    lam[0] plus a sub-multiset sigma of the rest, chosen in ``ways`` ways
+    (``_block_splits``); the rest is partitioned on its own.
+    """
     if not lam:
         return SymFunc.one()
     summands = []
-    for profile, count in _set_partition_profiles(lam).items():
-        term = SymFunc.one()
-        for g, size in profile:
-            term = term * _divisor_power_sum(g, size)
-        summands.append((count, term))
+    for sigma, ways, left in _block_splits(lam[1:]):
+        block = lam[:1] + sigma
+        weight = _divisor_power_sum(gcd(*block), len(block))
+        summands.append((ways, weight * _fsur_p_direct(left)))
     return _linear_combination(summands)
 
 

@@ -48,10 +48,19 @@ def pi_of_word(w) -> tuple:
 
 
 def _as_alphabet(alphabet) -> list:
-    """The letters in order; a size, or a string read as one, means [1..size]."""
+    """The letters in order; a size, or a string read as one, means [1..size].
+
+    An empty alphabet or a repeated letter raises ValueError, as a size
+    below 1 does.
+    """
     if isinstance(alphabet, str) or not hasattr(alphabet, "__iter__"):
         return list(range(1, _count(alphabet, 1) + 1))
-    return sorted(alphabet)
+    letters = sorted(alphabet)
+    if not letters:
+        raise ValueError("an alphabet needs at least one letter")
+    if any(a == b for a, b in zip(letters, letters[1:])):
+        raise ValueError(f"alphabet {letters} repeats a letter")
+    return letters
 
 
 def lyndon_words(alphabet, max_len: int) -> list:

@@ -8,10 +8,12 @@ with ``cutoff=None`` is an exact element of the polynomial ring;
 with nothing stored above. Pairing a series that is too short raises
 PrecisionError rather than truncating silently.
 
-Every builder works in ints and reduces its result once. A basis element
-is a memoized row of ints over one scale (n! for s_lam, the product of
-the part factorials for h_lam, that of the multiplicity factorials for
-m_lam), reduced once and memoized itself; e_lam is omega(h_lam).
+Every builder works in ints and reduces its result once, through the one
+constructor ``SymFunc._build``. Basis elements are memoized. s_lam and
+m_lam are rows of ints over one scale (n! for s_lam, the product of the
+multiplicity factorials for m_lam); h_k is the class sizes of S_k over
+k!, h_lam is the product of its one-part elements, and e_lam is
+omega(h_lam).
 Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
 of lam and the class mu. A Fraction is built only when a coefficient is
 read, and the Schur conversion still sums Fractions.
@@ -19,6 +21,7 @@ read, and the Schur conversion still sums Fractions.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
@@ -76,7 +79,8 @@ class SymFunc:
     ``_nums`` is a nonzero int, ``_den`` > 0, gcd(_den, *_nums.values())
     is 1 and no key lies above the cutoff. The pair is unique, so
     equality and hashing compare it. ``_build``, the constructor of the
-    package's builders, drops zeros and reduces.
+    package's builders and the only one that skips ``__init__``, drops
+    zeros and reduces.
     """
 
     __slots__ = ("_nums", "_den", "cutoff")
@@ -102,15 +106,6 @@ class SymFunc:
         self.cutoff = cutoff
 
     @classmethod
-    def _normalized(cls, nums: dict, den: int, cutoff=None) -> "SymFunc":
-        """The element of a pair that is already normalized (see the class)."""
-        f = cls.__new__(cls)
-        f._nums = nums
-        f._den = den
-        f.cutoff = cutoff
-        return f
-
-    @classmethod
     def _build(cls, nums: dict, den: int = 1, cutoff=None) -> "SymFunc":
         """The sum of (nums[nu] / den) p_nu, int values and den > 0, with
         zeros dropped and the pair divided by its gcd. The caller keeps
@@ -121,7 +116,11 @@ class SymFunc:
             if g != 1:
                 nums = {lam: c // g for lam, c in nums.items()}
                 den //= g
-        return cls._normalized(nums, den, cutoff)
+        f = cls.__new__(cls)
+        f._nums = nums
+        f._den = den
+        f.cutoff = cutoff
+        return f
 
     @classmethod
     def zero(cls, cutoff=None):
@@ -213,7 +212,7 @@ class SymFunc:
 
     def __neg__(self):
         nums = {lam: -c for lam, c in self._nums.items()}
-        return SymFunc._normalized(nums, self._den, self.cutoff)
+        return SymFunc._build(nums, self._den, self.cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -391,27 +390,6 @@ def _s_scaled_in_p(lam) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _h_scaled_in_p(lam) -> tuple:
-    """h_lam times prod_i lam_i!, in the p basis as (nu, int) pairs.
-
-    k! h_k is the sum over rho of k of (k!/z_rho) p_rho, and k!/z_rho is
-    the size of the class rho in the symmetric group, an int. The product
-    over the parts of lam is taken one part at a time.
-    """
-    if not lam:
-        return (((), 1),)
-    k = lam[0]
-    size = factorial(k)
-    out: dict = {}
-    for rho in partitions_of(k):
-        c = size // z_value(rho)
-        for nu, d in _h_scaled_in_p(lam[1:]):
-            key = multiset_union(rho, nu)
-            out[key] = out.get(key, 0) + c * d
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
 def _p_in_h(nu) -> tuple:
     """p_nu in the h basis, as (id of mu, int) pairs.
 
@@ -485,9 +463,12 @@ def _m_scaled_in_p(lam) -> tuple:
 def from_basis(basis: str, lam) -> SymFunc:
     """The basis element with the given index, as an exact SymFunc.
 
-    An s, h or m element is its integer row (``_s_scaled_in_p``,
-    ``_h_scaled_in_p``, ``_m_scaled_in_p``) over its scale, reduced once
-    and memoized; e_lam is omega(h_lam) (Macdonald I.2).
+    An s or m element is its integer row (``_s_scaled_in_p``,
+    ``_m_scaled_in_p``) over its scale, reduced once and memoized. h_k is
+    the sum over rho of k of (k!/z_rho) p_rho over k!, k!/z_rho the size
+    of the class rho in the symmetric group; h_lam is the product of its
+    one-part elements, since h is multiplicative, and e_lam is
+    omega(h_lam) (Macdonald I.2).
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -498,13 +479,17 @@ def from_basis(basis: str, lam) -> SymFunc:
 def _basis_element(basis: str, lam) -> SymFunc:
     """``from_basis`` on a validated basis name and partition tuple."""
     if basis == "p":
-        return SymFunc._normalized({lam: 1}, 1)
+        return SymFunc._build({lam: 1})
     if basis == "e":
         return omega(_basis_element("h", lam))
+    if basis == "h":
+        if len(lam) > 1:
+            return _basis_element("h", lam[:1]) * _basis_element("h", lam[1:])
+        size = factorial(sum(lam))
+        row = {rho: size // z_value(rho) for rho in partitions_of(sum(lam))}
+        return SymFunc._build(row, size)
     if basis == "s":
         pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
-    elif basis == "h":
-        pairs, scale = _h_scaled_in_p(lam), prod(map(factorial, lam))
     else:
         pairs = _m_scaled_in_p(lam)
         scale = prod(map(factorial, multiplicities(lam).values()))
@@ -618,7 +603,7 @@ def omega(f: SymFunc) -> SymFunc:
     A sign flip keeps the numerators reduced over the same denominator.
     """
     nums = {nu: -c if (sum(nu) - len(nu)) & 1 else c for nu, c in f._nums.items()}
-    return SymFunc._normalized(nums, f._den, f.cutoff)
+    return SymFunc._build(nums, f._den, f.cutoff)
 
 
 def skew(g: SymFunc, f: SymFunc) -> SymFunc:
@@ -664,7 +649,7 @@ def _pk_plethysm(k: int, g: SymFunc) -> SymFunc:
     A series g known through degree c gives p_k[g] known through k*c.
     """
     nums = {tuple(p * k for p in mu): c for mu, c in g._nums.items()}
-    return SymFunc._normalized(nums, g._den, None if g.cutoff is None else k * g.cutoff)
+    return SymFunc._build(nums, g._den, None if g.cutoff is None else k * g.cutoff)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -755,8 +740,7 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
             c = _series_coefficient(name, lam)
             if c:
                 terms[lam] = c
-    nums, den = _over_common_denominator(terms)
-    return SymFunc._normalized(nums, den, cutoff)
+    return SymFunc._build(*_over_common_denominator(terms), cutoff)
 
 
 def leading_term(f: SymFunc, basis: str = "s"):
@@ -785,21 +769,38 @@ def to_serializable(f: SymFunc, basis: str) -> dict:
     return {"basis": basis, "terms": terms, "cutoff": f.cutoff}
 
 
+def _field(data: dict, key: str):
+    """data[key], with a missing key raised as ValueError."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"serialized form has no {key!r}") from None
+
+
+def _decimal(data: dict, key: str) -> int:
+    """The int written at data[key] as an optional "-" and ASCII digits."""
+    text = _field(data, key)
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{key} must be a decimal string, got {text!r}")
+    return int(text)
+
+
 def from_serializable(data: dict) -> SymFunc:
     """Rebuild a SymFunc from its serialized form.
 
-    Raises ValueError on a zero denominator or a term above the cutoff.
+    Raises ValueError on a missing key, a num or den that is not a decimal
+    string, a zero denominator or a term above the cutoff.
     """
-    basis = data["basis"]
+    basis = _field(data, "basis")
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     cutoff = None if data.get("cutoff") is None else _count(data["cutoff"])
     pairs = []
-    for term in data["terms"]:
-        lam = as_partition(term["partition"])
+    for term in _field(data, "terms"):
+        lam = as_partition(_field(term, "partition"))
         if cutoff is not None and sum(lam) > cutoff:
             raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
-        num, den = int(term["num"]), int(term["den"])
+        num, den = _decimal(term, "num"), _decimal(term, "den")
         if den == 0:
             raise ValueError(f"zero denominator in the term of {lam}")
         pairs.append((Fraction(num, den), _basis_element(basis, lam)))

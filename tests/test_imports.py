@@ -1,9 +1,10 @@
 """Every name a symfrob module imports is used there, every private
 module-level helper is used somewhere in the package, every lru_cache
 decorates a module-level function, no module uses an assert statement,
-only symfunc.py touches a SymFunc's numerator form, the CLI loads no
-standard library module beyond what its own imports need, and every
-symfrob name the benchmark binds exists."""
+only symfunc.py touches a SymFunc's numerator form, only SymFunc._build
+builds one without __init__, the CLI loads no standard library module
+beyond what its own imports need, and every symfrob name the benchmark
+binds exists."""
 
 import ast
 import importlib
@@ -246,6 +247,54 @@ def test_representation_use_is_reported():
         "f._nums = {}\n"
     )
     assert representation_uses(source) == [1, 2, 3, 5]
+
+
+def constructors_outside_build(source: str) -> list:
+    """Lines that name ``__new__`` (an attribute, a name, a def or a string)
+    anywhere but inside ``SymFunc._build``, the one constructor that sets
+    a SymFunc's slots without ``__init__``."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SymFunc":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "_build":
+                    inside.update(map(id, ast.walk(item)))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute) and node.attr == "__new__"
+            or isinstance(node, ast.Name) and node.id == "__new__"
+            or isinstance(node, ast.FunctionDef) and node.name == "__new__"
+            or isinstance(node, ast.Constant) and node.value == "__new__"
+        )
+    )
+
+
+def test_symfunc_is_built_only_by_build():
+    # _build reduces the pair it is given; a second constructor that skips
+    # __init__ would have to trust its caller to hand it a reduced pair.
+    assert constructors_outside_build((PACKAGE / "symfunc.py").read_text()) == []
+
+
+def test_constructor_outside_build_is_reported():
+    source = (
+        "class SymFunc:\n"
+        "    def _build(cls, nums):\n"
+        "        return cls.__new__(cls)\n"
+        "\n"
+        "    def _trusted(cls, nums):\n"
+        "        return cls.__new__(cls)\n"
+        "\n"
+        "    def __new__(cls):\n"
+        "        return object.__new__(cls)\n"
+        "\n"
+        "def _build(cls):\n"
+        "    return getattr(cls, '__new__')(cls)\n"
+    )
+    assert constructors_outside_build(source) == [6, 8, 9, 12]
 
 
 def test_cli_import_budget():

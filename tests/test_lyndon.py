@@ -89,6 +89,18 @@ def test_single_letter_alphabet():
     assert witt_count(1, 2) == 0
 
 
+@pytest.mark.parametrize("alphabet", [[1, 1], [], (2, 1, 2), [(1, 2), (1, 2)]])
+def test_empty_or_repeated_alphabet_is_rejected(alphabet):
+    # Duval's successor needs distinct letters: over [1, 1] it yields the
+    # non-Lyndon word (1, 1) and (1,) twice.
+    with pytest.raises(ValueError, match="alphabet"):
+        lyndon_words(alphabet, 2)
+    with pytest.raises(ValueError, match="alphabet"):
+        content_vector((), alphabet)
+    with pytest.raises(ValueError, match="alphabet"):
+        enumerate_lyndon(alphabet, 2)
+
+
 def test_enumerate_lyndon_grouping():
     grouped = enumerate_lyndon(2, 3)
     assert grouped[(1, 1)] == [(1, 2)]

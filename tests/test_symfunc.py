@@ -21,7 +21,6 @@ from symfrob.symfunc import (
     PrecisionError,
     _SERIES_START,
     SymFunc,
-    _h_scaled_in_p,
     _m_scaled_in_p,
     _p_in_h,
     _p_in_m,
@@ -212,7 +211,7 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
     for basis in ("h", "e", "m"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
-    for memo in ("_h_scaled_in_p", "_m_scaled_in_p"):
+    for memo in ("_basis_element", "_m_scaled_in_p"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
@@ -622,7 +621,18 @@ def basis_row(basis, lam):
     if basis == "m":
         scale = math.prod(map(math.factorial, multiplicities(lam).values()))
         return _m_scaled_in_p(lam), scale
-    pairs, scale = _h_scaled_in_p(lam), math.prod(map(math.factorial, lam))
+    # h_lam times prod_i lam_i!: the product over the parts k of lam of the
+    # class sizes k!/z_rho of the symmetric group, rho running over k.
+    row = {(): 1}
+    for k in lam:
+        sizes = [(rho, math.factorial(k) // z_value(rho)) for rho in partitions_of(k)]
+        out = {}
+        for nu, c in row.items():
+            for rho, size in sizes:
+                key = tuple(sorted(nu + rho, reverse=True))
+                out[key] = out.get(key, 0) + c * size
+        row = out
+    pairs, scale = tuple(row.items()), math.prod(map(math.factorial, lam))
     if basis == "e":
         pairs = tuple((nu, -c if (sum(nu) - len(nu)) % 2 else c) for nu, c in pairs)
     return pairs, scale
@@ -777,4 +787,25 @@ def test_from_serializable_rejects_zero_denominator():
         "cutoff": None,
     }
     with pytest.raises(ValueError, match="zero denominator"):
+        from_serializable(blob)
+
+
+@pytest.mark.parametrize("key", ["num", "den"])
+@pytest.mark.parametrize("text", ["1_0", " 1", "1 ", "+1", "1.0", "", "-", "١", 1, None])
+def test_from_serializable_rejects_non_decimal_strings(key, text):
+    # int() reads "1_0" as 10 and " 1" as 1; the schema writes neither.
+    blob = {"basis": "p", "terms": [{"partition": [1], "num": "-3", "den": "2"}]}
+    blob["terms"][0][key] = text
+    with pytest.raises(ValueError, match="decimal string"):
+        from_serializable(blob)
+    blob["terms"][0][key] = "10"
+    want = Fraction(10, 2) if key == "num" else Fraction(-3, 10)
+    assert from_serializable(blob) == p(1) * want
+
+
+@pytest.mark.parametrize("key", ["basis", "terms", "partition", "num", "den"])
+def test_from_serializable_rejects_missing_key(key):
+    blob = {"basis": "p", "terms": [{"partition": [1], "num": "1", "den": "1"}]}
+    del (blob if key in blob else blob["terms"][0])[key]
+    with pytest.raises(ValueError, match=repr(key)):
         from_serializable(blob)
