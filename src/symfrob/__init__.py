@@ -68,6 +68,7 @@ from .frobenius import (
     fsurinv_e_words,
     fsurinv_h_direct,
     fsurinv_iterative,
+    fsurinv_p_direct,
     genfunc_identity_check,
     restriction_coeff_eval,
     stable_matrix,

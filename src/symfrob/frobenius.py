@@ -2,14 +2,17 @@
 
 The surjective transform ``fsur`` is the Hall adjoint of plethysm by the
 positive-degree complete homogeneous series; its inverse ``fsurinv`` is
-the adjoint of plethysm by Cadogan's series. The full transform is
-``fsur(f)`` times the complete homogeneous series. The coefficient
-families t and u are the Schur matrices of fsur and fsurinv; r, a and b
-are Pieri strip sums over their memoized columns. Alongside the
-adjoint engine this module carries the closed-form expansions in the h,
-e and p bases, the word formulas for the inverse in the e basis,
-vanishing bounds, and the Durfee square criterion with its witness
-search.
+the adjoint of plethysm by Cadogan's series. The adjoint engine keeps one
+memoized column per power sum p_rho: the p expansion of the transform of
+p_rho in exact ints, a sum over the set partitions of the positions of
+rho. A transform sums its input's int numerators along those columns.
+The full transform is ``fsur(f)`` times the complete homogeneous series.
+The coefficient families t and u are the Schur matrices of fsur and
+fsurinv; r, a and b are Pieri strip sums over their memoized columns.
+Alongside the adjoint engine this module carries the closed-form
+expansions of fsur in the h, e and p bases and of fsurinv in the p
+basis, the word formulas for the inverse in the e basis, vanishing
+bounds, and the Durfee square criterion with its witness search.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
@@ -33,12 +36,14 @@ from .partitions import (
     durfee,
     hat,
     intersect,
+    mobius,
     partition_from_composition,
     partitions_of,
     partitions_up_to,
     z_value,
 )
 from .symfunc import (
+    _RECTANGLE_SERIES,
     IntegralityError,
     InternalCheckError,
     SymFunc,
@@ -63,10 +68,14 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 
 @lru_cache(maxsize=None)
 def _block_weights(series_name: str, block) -> tuple:
-    """(k, z_block [p_{block/k}] g) for each k dividing every part of block.
+    """(k, z_block [p_{block/k}] g / k) for each k dividing every part of block.
 
-    g is the named standard series; each weight reads one coefficient of
-    it. Only nonzero weights are listed; each must be an integer.
+    g is the named standard series. The weight is the p_k coefficient of
+    the adjoint of plethysm by g applied to p_block, as a one-block set
+    partition: k^(len(block) - 1) for Hplus, and on a rectangle c^s
+    (-1)^(s-1) c^(s-1) (s-1)! mu(c/k) for Cadogan, without the sign for
+    Lsum. Each weight reads one coefficient of g. Only nonzero weights
+    are listed; each must be an integer.
     """
     z = z_value(block)
     out = []
@@ -74,10 +83,10 @@ def _block_weights(series_name: str, block) -> tuple:
         c = _series_coefficient(series_name, tuple(part // k for part in block))
         if not c:
             continue
-        weight, remainder = divmod(z * c.numerator, c.denominator)
+        weight, remainder = divmod(z * c.numerator, k * c.denominator)
         if remainder:
             raise IntegralityError(
-                f"weight of block {block} under p_{k}[{series_name}] is {z * c}"
+                f"weight of block {block} under p_{k}[{series_name}] is {z * c / k}"
             )
         out.append((k, weight))
     return tuple(out)
@@ -85,70 +94,73 @@ def _block_weights(series_name: str, block) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pleth_coeff(series_name: str, rho) -> tuple:
-    """The nonzero (id of nu, <p_nu[g], p_rho>) pairs, g the named standard series.
+    """The column of rho: the nonzero (id of nu, [p_nu] A(p_rho)) pairs.
 
-    Each value is z_rho [p_rho] p_nu[g], an exact int. Pairing a product
-    against p_rho splits the positions of rho into one nonempty block per
-    part of nu, and a part k covers a block when it divides every part of
-    it, with weight z_block [p_{block/k}] g. The recursion takes the block
-    holding rho[0]: rho[0] plus a sub-multiset sigma of the rest, whose
-    positions can be chosen in prod_j comb(m_j(rest), m_j(sigma)) ways;
-    any of the m_k(nu) parts equal to k may cover it. One entry serves
-    every cutoff, since only the terms of g through degree |rho| enter.
-    A series with a constant term is rejected: there nu is unbounded.
-    Each nu is keyed by its partition id (``partitions._PART_ENTRIES``).
+    A is the Hall adjoint of plethysm by the named standard series g, so
+    the column is the p expansion of fsur(p_rho) for Hplus and of
+    fsurinv(p_rho) for Cadogan, in exact ints; [p_nu] A(p_rho) is
+    <p_nu[g], p_rho> / z_nu. By the exponential formula it is a sum over
+    the set partitions of the positions of rho: each block B carries one
+    part k of nu, with the weight of ``_block_weights``. The recursion
+    takes the block holding rho[0]: rho[0] plus a sub-multiset sigma of
+    the rest, whose positions can be chosen in ``ways`` ways
+    (``_block_splits``). For a series of ``_RECTANGLE_SERIES`` only a
+    block of equal parts can weigh, so sigma is drawn from the copies of
+    rho[0] alone and the smaller parts all stay in the remainder. One
+    entry serves every cutoff, since only the terms of g through degree
+    |rho| enter. A series with a constant term is rejected: there nu is
+    unbounded. Each nu is keyed by its partition id
+    (``partitions._PART_ENTRIES``).
     """
     if _series_coefficient(series_name, ()):
         raise ValueError(f"series {series_name!r} has a constant term")
     if not rho:
         return ((_part_id(()), 1),)
+    end = rho.count(rho[0]) if series_name in _RECTANGLE_SERIES else len(rho)
     column: dict = {}
     get = column.get
-    for sigma, ways, left in _block_splits(rho[1:]):
+    for sigma, ways, left in _block_splits(rho[1:end]):
         weights = _block_weights(series_name, rho[:1] + sigma)
         if not weights:
             continue
-        remainder = _pleth_coeff(series_name, left)
+        remainder = _pleth_coeff(series_name, left + rho[end:])
         for k, weight in weights:
             scale = ways * weight
             for nu, value in remainder:
-                key, m_k = _insert_part(nu, k)
-                column[key] = get(key, 0) + m_k * scale * value
+                key = _insert_part(nu, k)
+                column[key] = get(key, 0) + scale * value
     return tuple((nu, value) for nu, value in column.items() if value)
 
 
 @lru_cache(maxsize=None)
-def _insert_part(nu: int, k: int) -> tuple:
-    """(id of nu with one more part k, the number of parts k it then has).
+def _insert_part(nu: int, k: int) -> int:
+    """The id of the partition with id nu and one more part k.
 
-    nu is a partition id, like the result.
+    A column's recursion adds the part k of its first block to every nu
+    of the remainder's column. The blocks of a set partition are
+    unordered, so no count of the parts equal to k enters the column and
+    only the new id is needed.
     """
-    lam = _PART_ENTRIES[nu][0]
+    lam = _PART_ENTRIES[nu]
     i = 0
-    while i < len(lam) and lam[i] > k:
+    while i < len(lam) and lam[i] >= k:
         i += 1
-    j = i
-    while j < len(lam) and lam[j] == k:
-        j += 1
-    return _part_id(lam[:j] + (k,) + lam[j:]), j - i + 1
+    return _part_id(lam[:i] + (k,) + lam[i:])
 
 
 def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """Apply the Hall adjoint of plethysm-by-series to the exact element f.
 
-    The p_nu coefficient of the result is (1/z_nu) sum_rho f_rho
-    <p_nu[g], p_rho>. With f's int numerators over its denominator D,
-    the sum runs in ints along each memoized column, keyed by partition
-    id. With L the lcm of the z_nu of the nonzero totals, the result is
-    total * (L / z_nu) over D * L, reduced once.
+    Each column of ``_pleth_coeff`` is the transform of one power sum in
+    ints, so with f's int numerators over its denominator D the result's
+    numerators are the int sums along the columns of f's terms, over the
+    same D.
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
-    entries = [(_PART_ENTRIES[nu], total) for nu, total in totals.items() if total]
-    scale = lcm(*(z for (_, z), _ in entries))
-    nums = {lam: total * (scale // z) for (lam, z), total in entries}
-    return SymFunc._build(nums, denominator * scale)
+    nums = {_PART_ENTRIES[nu]: total for nu, total in totals.items()}
+    return SymFunc._build(nums, denominator)
 
 
 def fsur(f: SymFunc) -> SymFunc:
@@ -300,6 +312,22 @@ def _divisor_power_sum(g: int, size: int) -> SymFunc:
     return SymFunc._build({(d,): d ** (size - 1) for d in divisors(g)})
 
 
+def _fsur_p_block(block) -> SymFunc:
+    """fsur's weight of one block: the sum of d^(s-1) p_d over d | gcd(block)."""
+    return _divisor_power_sum(gcd(*block), len(block))
+
+
+@lru_cache(maxsize=None)
+def _fsurinv_p_block(block) -> SymFunc:
+    """fsurinv's weight of one block: on c^s, (-1)^(s-1) (s-1)! c^(s-1) times
+    the sum of mu(c/k) p_k over k | c; 0 on a block of unequal parts."""
+    c, size = block[0], len(block)
+    if block[-1] != c:
+        return SymFunc.zero()
+    scale = (-1) ** (size - 1) * factorial(size - 1) * c ** (size - 1)
+    return SymFunc._build({(k,): scale * mobius(c // k) for k in divisors(c)})
+
+
 def fsur_p_direct(lam) -> SymFunc:
     """fsur of a power sum product, by the set-partition divisor formula.
 
@@ -307,12 +335,22 @@ def fsur_p_direct(lam) -> SymFunc:
     with part gcd g contributes the sum of d^(s-1) p_d over divisors d
     of g.
     """
-    return _fsur_p_direct(partition_from_composition(lam))
+    return _p_direct(_fsur_p_block, partition_from_composition(lam))
+
+
+def fsurinv_p_direct(lam) -> SymFunc:
+    """fsurinv of a power sum product, by the set-partition Mobius formula.
+
+    Sums over set partitions of the index positions; only blocks of equal
+    parts contribute, a block c^s the sum of (-1)^(s-1) (s-1)! c^(s-1)
+    mu(c/k) p_k over divisors k of c.
+    """
+    return _p_direct(_fsurinv_p_block, partition_from_composition(lam))
 
 
 @lru_cache(maxsize=None)
-def _fsur_p_direct(lam) -> SymFunc:
-    """``fsur_p_direct`` on a partition tuple.
+def _p_direct(block_weight, lam) -> SymFunc:
+    """The product of block weights summed over the set partitions of lam.
 
     As in ``_pleth_coeff`` the recursion takes the block holding lam[0]:
     lam[0] plus a sub-multiset sigma of the rest, chosen in ``ways`` ways
@@ -322,9 +360,9 @@ def _fsur_p_direct(lam) -> SymFunc:
         return SymFunc.one()
     summands = []
     for sigma, ways, left in _block_splits(lam[1:]):
-        block = lam[:1] + sigma
-        weight = _divisor_power_sum(gcd(*block), len(block))
-        summands.append((ways, weight * _fsur_p_direct(left)))
+        weight = block_weight(lam[:1] + sigma)
+        if not weight.is_zero:
+            summands.append((ways, weight * _p_direct(block_weight, left)))
     return _linear_combination(summands)
 
 

@@ -50,12 +50,15 @@ def pi_of_word(w) -> tuple:
 def _as_alphabet(alphabet) -> list:
     """The letters in order; a size, or a string read as one, means [1..size].
 
-    An empty alphabet or a repeated letter raises ValueError, as a size
-    below 1 does.
+    An empty alphabet, a repeated letter or letters with no common order
+    raise ValueError, as a size below 1 does.
     """
     if isinstance(alphabet, str) or not hasattr(alphabet, "__iter__"):
         return list(range(1, _count(alphabet, 1) + 1))
-    letters = sorted(alphabet)
+    try:
+        letters = sorted(alphabet)
+    except TypeError:
+        raise ValueError(f"alphabet {alphabet!r} has letters with no common order") from None
     if not letters:
         raise ValueError("an alphabet needs at least one letter")
     if any(a == b for a, b in zip(letters, letters[1:])):

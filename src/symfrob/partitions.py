@@ -99,7 +99,8 @@ def z_value(lam) -> int:
 # The partition id table. The integer column memos (the plethysm
 # coefficients, the p-to-h and p-to-m columns) key their entries by a
 # small int id instead of the partition tuple, which is cheaper to hash.
-# Ids are handed out in discovery order and never leave the package.
+# Ids are handed out in discovery order, ``_PART_ENTRIES[id]`` is the
+# partition of an id, and ids never leave the package.
 # Only ``symfrob.clear_caches()`` empties the table, in the same call that
 # clears every lru_cache memo, since those are the only holders of ids.
 _PART_IDS: dict = {}
@@ -111,7 +112,7 @@ def _part_id(lam) -> int:
     pid = _PART_IDS.get(lam)
     if pid is None:
         pid = _PART_IDS[lam] = len(_PART_ENTRIES)
-        _PART_ENTRIES.append((lam, z_value(lam)))
+        _PART_ENTRIES.append(lam)
     return pid
 
 

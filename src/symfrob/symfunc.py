@@ -408,7 +408,7 @@ def _p_in_h(nu) -> tuple:
         for m in multiplicities(lam).values():
             c //= factorial(m)
         for mu, d in _p_in_h(nu[1:]):
-            key = multiset_union(lam, _PART_ENTRIES[mu][0])
+            key = multiset_union(lam, _PART_ENTRIES[mu])
             out[key] = out.get(key, 0) + c * d
     return tuple((_part_id(mu), c) for mu, c in out.items() if c)
 
@@ -428,7 +428,7 @@ def _p_in_m(nu) -> tuple:
     k = nu[0]
     out = {}
     for pid, c in _p_in_m(nu[1:]):
-        mu = _PART_ENTRIES[pid][0]
+        mu = _PART_ENTRIES[pid]
         for v in (0, *multiplicities(mu)):
             key = multiset_union(multiset_diff(mu, (v,)) if v else mu, (v + k,))
             out[key] = out.get(key, 0) + c * key.count(v + k)
@@ -543,7 +543,7 @@ def to_basis(f: SymFunc, basis: str) -> dict:
         raise ValueError(f"unknown basis {basis!r}")
     totals, denominator = _int_column_sum(f, column)
     return {
-        _PART_ENTRIES[mu][0]: Fraction(total, denominator)
+        _PART_ENTRIES[mu]: Fraction(total, denominator)
         for mu, total in totals.items()
         if total
     }
@@ -689,6 +689,11 @@ def lyndon_sf(n: int) -> SymFunc:
 # The degree at which each standard series starts.
 _SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "Cadogan": 1}
 
+# The series whose degree-n term is a multiple of lyndon_sf(n), which is
+# supported on the rectangles (d^(n/d)) only: every other p coefficient
+# of them is 0.
+_RECTANGLE_SERIES = frozenset({"Lsum", "Cadogan"})
+
 
 def _series_coefficient(name: str, lam) -> Fraction:
     """[p_lam] of the named standard series, lam a partition tuple.
@@ -705,7 +710,7 @@ def _series_coefficient(name: str, lam) -> Fraction:
     if n < _SERIES_START[name]:
         return Fraction(0)
     omega_sign = (-1) ** (n - len(lam))
-    if name in ("Lsum", "Cadogan"):
+    if name in _RECTANGLE_SERIES:
         c = lyndon_sf(n).coefficient(lam)
         if name == "Lsum" or not c:
             return c
@@ -724,15 +729,15 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     E, Emin (alternating elementary), Lsum (sum of the Lyndon symmetric
     functions), Cadogan (the plethystic inverse of Hplus), and Lyndon
     (the single degree-``cutoff`` Lyndon function, which is exact).
-    Every coefficient comes from ``_series_coefficient``; Lsum and
-    Cadogan are supported on the rectangles (d^(n/d)) only.
+    Every coefficient comes from ``_series_coefficient``; the series of
+    ``_RECTANGLE_SERIES`` list only their rectangle terms.
     """
     cutoff = _count(cutoff)
     if name == "Lyndon":
         return lyndon_sf(cutoff)
     terms = {}
     for n in range(cutoff + 1):
-        if name in ("Lsum", "Cadogan"):
+        if name in _RECTANGLE_SERIES:
             support = [(d,) * (n // d) for d in divisors(n)] if n else []
         else:
             support = partitions_of(n)
@@ -770,7 +775,9 @@ def to_serializable(f: SymFunc, basis: str) -> dict:
 
 
 def _field(data: dict, key: str):
-    """data[key], with a missing key raised as ValueError."""
+    """data[key]; data that is not a dict, or a missing key, raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with {key!r}, got {data!r}")
     try:
         return data[key]
     except KeyError:
@@ -788,15 +795,19 @@ def _decimal(data: dict, key: str) -> int:
 def from_serializable(data: dict) -> SymFunc:
     """Rebuild a SymFunc from its serialized form.
 
-    Raises ValueError on a missing key, a num or den that is not a decimal
+    Raises ValueError on a blob or term that is not a JSON object, terms
+    that are not a list, a missing key, a num or den that is not a decimal
     string, a zero denominator or a term above the cutoff.
     """
     basis = _field(data, "basis")
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     cutoff = None if data.get("cutoff") is None else _count(data["cutoff"])
+    terms = _field(data, "terms")
+    if not isinstance(terms, list):
+        raise ValueError(f"terms must be a list, got {terms!r}")
     pairs = []
-    for term in _field(data, "terms"):
+    for term in terms:
         lam = as_partition(_field(term, "partition"))
         if cutoff is not None and sum(lam) > cutoff:
             raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")

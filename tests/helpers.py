@@ -38,7 +38,7 @@ from symfrob.symfunc import (
 
 def column_by_partition(pairs):
     """An integer column of (partition id, value) pairs as a partition-keyed dict."""
-    return {_PART_ENTRIES[pid][0]: value for pid, value in pairs}
+    return {_PART_ENTRIES[pid]: value for pid, value in pairs}
 
 
 def m_in_p_by_transpose(n):

@@ -1,5 +1,8 @@
+import json
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from symfrob.frobenius import (
     fsurinv_e_words,
     fsurinv_h_direct,
     fsurinv_iterative,
+    fsurinv_p_direct,
     genfunc_identity_check,
     restriction_coeff_eval,
     stable_matrix,
@@ -128,7 +132,8 @@ def test_fsur_preserves_degree_and_leading_term():
 
 @pytest.mark.parametrize("name", ["Hplus", "Cadogan", "Lsum"])
 def test_pleth_coeff_matches_general_plethysm(name):
-    # Each column holds exactly the nonzero <p_nu[g], p_rho> = z_rho [p_rho] p_nu[g].
+    # Each column holds exactly the nonzero [p_nu] A(p_rho), A the adjoint of
+    # plethysm by g: <p_nu[g], p_rho> / z_nu = z_rho [p_rho] p_nu[g] / z_nu.
     for d in range(7):
         series = standard_series(name, d)
         columns = {
@@ -140,8 +145,15 @@ def test_pleth_coeff_matches_general_plethysm(name):
         for nu in partitions_up_to(d):
             pleth = plethysm(p(*nu), series)
             for rho, column in columns.items():
-                want = z_value(rho) * pleth.coefficient(rho)
+                want = z_value(rho) * pleth.coefficient(rho) / z_value(nu)
                 assert column.get(nu, 0) == want, (nu, rho)
+
+
+def test_column_is_the_transform_of_one_power_sum():
+    for rho in partitions_up_to(8):
+        for name, transform in (("Hplus", fsur), ("Cadogan", fsurinv)):
+            column = column_by_partition(_pleth_coeff(name, rho))
+            assert column == dict(transform(p(*rho)).terms()), (name, rho)
 
 
 def test_pleth_coeff_rejects_series_with_constant_term():
@@ -299,6 +311,23 @@ def test_transforms_and_conversions_match_pinned_digest():
     assert digest == "846fb62ca08ac372947e89b51148f22de071b4e1a02d1df708ef5b2581f5a8f6"
 
 
+def test_transforms_match_benchmark_golden_digests():
+    # The benchmark's correctness gate, read from its own files without
+    # importing them: every fsur/fsurinv result of degree <= 10 in
+    # benchmarks/golden.json.
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    workloads = types.ModuleType("workloads")
+    path = bench / "workloads.py"
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    golden = json.loads((bench / "golden.json").read_text())
+    checked = 0
+    for op_id, thunk in workloads.transform_pool(symfrob):
+        if sum(map(int, op_id.split(":")[2].split(","))) <= 10:
+            assert workloads.digest(thunk()) == golden[op_id], op_id
+            checked += 1
+    assert checked == 240
+
+
 def test_results_are_keyed_by_partition_tuples():
     # Partition ids key the integer columns and never leave the package.
     inputs = [
@@ -451,9 +480,15 @@ def test_direct_routes_sweep():
         assert fsur_p_direct(lam) == fsur(from_basis("p", lam)), lam
 
 
+def test_fsurinv_p_direct_matches_the_adjoint_engine():
+    for lam in partitions_up_to(12):
+        assert fsurinv_p_direct(lam) == fsurinv(p(*lam)), lam
+
+
 def test_direct_formulas_accept_compositions():
     assert fsur_h_direct((1, 3)) == fsur_h_direct((3, 1))
     assert fsur_p_direct((2, 4)) == fsur_p_direct((4, 2))
+    assert fsurinv_p_direct((2, 4, 2)) == fsurinv_p_direct((4, 2, 2))
 
 
 # -- word formulas ---------------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_empty_or_repeated_alphabet_is_rejected(alphabet):
         enumerate_lyndon(alphabet, 2)
 
 
+@pytest.mark.parametrize("alphabet", [[1, "a"], [(1,), 2]])
+def test_alphabet_without_common_order_is_rejected(alphabet):
+    # sorted() raises TypeError on such letters.
+    with pytest.raises(ValueError, match="no common order"):
+        lyndon_words(alphabet, 2)
+
+
 def test_enumerate_lyndon_grouping():
     grouped = enumerate_lyndon(2, 3)
     assert grouped[(1, 1)] == [(1, 2)]

@@ -803,6 +803,21 @@ def test_from_serializable_rejects_non_decimal_strings(key, text):
     assert from_serializable(blob) == p(1) * want
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"basis": "p", "terms": {"x": 1}},
+        [{"basis": "p", "terms": []}],
+        {"basis": "p", "terms": None},
+        {"basis": "p", "terms": [5]},
+    ],
+)
+def test_from_serializable_rejects_wrong_shape(blob):
+    # Indexing a string, a list or an int raised TypeError.
+    with pytest.raises(ValueError, match="JSON object|must be a list"):
+        from_serializable(blob)
+
+
 @pytest.mark.parametrize("key", ["basis", "terms", "partition", "num", "den"])
 def test_from_serializable_rejects_missing_key(key):
     blob = {"basis": "p", "terms": [{"partition": [1], "num": "1", "den": "1"}]}
