@@ -4,15 +4,31 @@ The surjective transform ``fsur`` is the Hall adjoint of plethysm by the
 positive-degree complete homogeneous series; its inverse ``fsurinv`` is
 the adjoint of plethysm by Cadogan's series. The adjoint engine keeps one
 memoized column per power sum p_rho: the p expansion of the transform of
-p_rho in exact ints, a sum over the set partitions of the positions of
-rho. A transform sums its input's int numerators along those columns.
-The full transform is ``fsur(f)`` times the complete homogeneous series.
-The coefficient families t and u are the Schur matrices of fsur and
-fsurinv; r, a and b are Pieri strip sums over their memoized columns.
-Alongside the adjoint engine this module carries the closed-form
-expansions of fsur in the h, e and p bases and of fsurinv in the p
-basis, the word formulas for the inverse in the e basis, vanishing
-bounds, and the Durfee square criterion with its witness search.
+p_rho in exact ints, built from the column of rho without its last part.
+
+Both transforms of p_rho are sums over the set partitions of the
+positions of rho (``fsur_p_direct``, ``fsurinv_p_direct``), and both sums
+can be taken one part at a time. For fsur each block B carries a label k
+dividing every part of B, with weight k^(|B|-1) p_k. A new part r opens
+a block with a label k | r, multiplying by p_k, or joins one of the
+m_k(nu) blocks labelled k | r, multiplying by k. So fsur(p_r g) =
+D_r fsur(g) with D_r = sum_{k|r} p_k (1 + k d/dp_k). For fsurinv only
+blocks of equal parts c weigh, c^s giving (-1)^(s-1) (s-1)! c^(s-1) q_c
+with q_c = sum_{k|c} mu(c/k) p_k. By the exponential formula the sum
+over m of fsurinv(p_c^m) x^m / m! is exp((q_c / c) log(1 + c x)) =
+(1 + c x)^(q_c / c), so fsurinv(p_c^m) is the falling-factorial product
+of (q_c - i c) over i < m, and fsurinv(p_rho) is the product of these
+over the distinct parts c of rho. Lsum, without the sign, gives the
+rising product of (q_c + i c).
+
+A transform sums its input's int numerators along the columns. The full
+transform is ``fsur(f)`` times the complete homogeneous series. The
+coefficient families t and u are the Schur matrices of fsur and fsurinv;
+r, a and b are Pieri strip sums over their memoized columns. Alongside
+the adjoint engine this module carries the closed-form expansions of
+fsur in the h, e and p bases and of fsurinv in the p basis, the word
+formulas for the inverse in the e basis, vanishing bounds, and the
+Durfee square criterion with its witness search.
 """
 
 from __future__ import annotations
@@ -40,17 +56,14 @@ from .partitions import (
     partition_from_composition,
     partitions_of,
     partitions_up_to,
-    z_value,
 )
 from .symfunc import (
-    _RECTANGLE_SERIES,
     IntegralityError,
     InternalCheckError,
     SymFunc,
     _int_column_sum,
     _linear_combination,
     _s_scaled_in_p,
-    _series_coefficient,
     from_basis,
     plethysm,
     skew,
@@ -67,29 +80,21 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 
 
 @lru_cache(maxsize=None)
-def _block_weights(series_name: str, block) -> tuple:
-    """(k, z_block [p_{block/k}] g / k) for each k dividing every part of block.
+def _part_step(series_name: str, r: int, i: int) -> tuple:
+    """(steps, shift): the factor one more part r brings to a column.
 
-    g is the named standard series. The weight is the p_k coefficient of
-    the adjoint of plethysm by g applied to p_block, as a one-block set
-    partition: k^(len(block) - 1) for Hplus, and on a rectangle c^s
-    (-1)^(s-1) c^(s-1) (s-1)! mu(c/k) for Cadogan, without the sign for
-    Lsum. Each weight reads one coefficient of g. Only nonzero weights
-    are listed; each must be an integer.
+    The column of rho is the column of rho[:-1] multiplied by the
+    operator shift + sum over the steps (k, weight, slope) of p_k (weight
+    + slope d/dp_k), rho[-1] = r its smallest part and i the copies of r
+    before it. For Hplus every step is (k, 1, k), k | r, and the shift is
+    0: ``D_r`` of the module docstring. For Cadogan the steps are
+    (k, mu(r/k), 0), the nonzero terms of q_r, and the shift is -i r: the
+    factor (q_r - i r). Lsum shifts by +i r.
     """
-    z = z_value(block)
-    out = []
-    for k in divisors(gcd(*block)):
-        c = _series_coefficient(series_name, tuple(part // k for part in block))
-        if not c:
-            continue
-        weight, remainder = divmod(z * c.numerator, k * c.denominator)
-        if remainder:
-            raise IntegralityError(
-                f"weight of block {block} under p_{k}[{series_name}] is {z * c / k}"
-            )
-        out.append((k, weight))
-    return tuple(out)
+    if series_name == "Hplus":
+        return tuple((k, 1, k) for k in divisors(r)), 0
+    steps = tuple((k, mobius(r // k), 0) for k in divisors(r) if mobius(r // k))
+    return steps, (-i * r if series_name == "Cadogan" else i * r)
 
 
 @lru_cache(maxsize=None)
@@ -99,36 +104,29 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
     A is the Hall adjoint of plethysm by the named standard series g, so
     the column is the p expansion of fsur(p_rho) for Hplus and of
     fsurinv(p_rho) for Cadogan, in exact ints; [p_nu] A(p_rho) is
-    <p_nu[g], p_rho> / z_nu. By the exponential formula it is a sum over
-    the set partitions of the positions of rho: each block B carries one
-    part k of nu, with the weight of ``_block_weights``. The recursion
-    takes the block holding rho[0]: rho[0] plus a sub-multiset sigma of
-    the rest, whose positions can be chosen in ``ways`` ways
-    (``_block_splits``). For a series of ``_RECTANGLE_SERIES`` only a
-    block of equal parts can weigh, so sigma is drawn from the copies of
-    rho[0] alone and the smaller parts all stay in the remainder. One
-    entry serves every cutoff, since only the terms of g through degree
-    |rho| enter. A series with a constant term is rejected: there nu is
-    unbounded. Each nu is keyed by its partition id
-    (``partitions._PART_ENTRIES``).
+    <p_nu[g], p_rho> / z_nu. It is one pass over the column of rho[:-1]:
+    each entry (nu, c) adds weight * c to nu with one more part k for
+    each step of ``_part_step``, and (shift + sum of slope * m_k(nu)) * c
+    to nu itself. Hplus, Cadogan and Lsum are the series with a one-part
+    step; any other raises ``ValueError``. Each nu is keyed by its
+    partition id (``partitions._PART_ENTRIES``).
     """
-    if _series_coefficient(series_name, ()):
-        raise ValueError(f"series {series_name!r} has a constant term")
+    if series_name not in ("Hplus", "Cadogan", "Lsum"):
+        raise ValueError(f"series {series_name!r} has no one-part step")
     if not rho:
         return ((_part_id(()), 1),)
-    end = rho.count(rho[0]) if series_name in _RECTANGLE_SERIES else len(rho)
+    steps, shift = _part_step(series_name, rho[-1], rho.count(rho[-1]) - 1)
     column: dict = {}
     get = column.get
-    for sigma, ways, left in _block_splits(rho[1:end]):
-        weights = _block_weights(series_name, rho[:1] + sigma)
-        if not weights:
-            continue
-        remainder = _pleth_coeff(series_name, left + rho[end:])
-        for k, weight in weights:
-            scale = ways * weight
-            for nu, value in remainder:
-                key = _insert_part(nu, k)
-                column[key] = get(key, 0) + scale * value
+    for nu, c in _pleth_coeff(series_name, rho[:-1]):
+        diagonal = shift
+        for k, weight, slope in steps:
+            key = _insert_part(nu, k)
+            column[key] = get(key, 0) + weight * c
+            if slope:
+                diagonal += slope * _PART_ENTRIES[nu].count(k)
+        if diagonal:
+            column[nu] = get(nu, 0) + diagonal * c
     return tuple((nu, value) for nu, value in column.items() if value)
 
 
@@ -136,10 +134,7 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
 def _insert_part(nu: int, k: int) -> int:
     """The id of the partition with id nu and one more part k.
 
-    A column's recursion adds the part k of its first block to every nu
-    of the remainder's column. The blocks of a set partition are
-    unordered, so no count of the parts equal to k enters the column and
-    only the new id is needed.
+    A column's step multiplies each entry of the shorter column by p_k.
     """
     lam = _PART_ENTRIES[nu]
     i = 0
@@ -152,14 +147,16 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     """Apply the Hall adjoint of plethysm-by-series to the exact element f.
 
     Each column of ``_pleth_coeff`` is the transform of one power sum in
-    ints, so with f's int numerators over its denominator D the result's
-    numerators are the int sums along the columns of f's terms, over the
-    same D.
+    ints, built one part at a time (``D_r`` for fsur, a falling-factorial
+    factor for fsurinv; see the module docstring). So with f's int
+    numerators over its denominator D the result's numerators are the
+    int sums along the columns of f's terms, over the same D; totals that
+    cancel to 0 are dropped as their ids become partitions.
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
-    nums = {_PART_ENTRIES[nu]: total for nu, total in totals.items()}
+    nums = {_PART_ENTRIES[nu]: total for nu, total in totals.items() if total}
     return SymFunc._build(nums, denominator)
 
 
@@ -352,9 +349,11 @@ def fsurinv_p_direct(lam) -> SymFunc:
 def _p_direct(block_weight, lam) -> SymFunc:
     """The product of block weights summed over the set partitions of lam.
 
-    As in ``_pleth_coeff`` the recursion takes the block holding lam[0]:
-    lam[0] plus a sub-multiset sigma of the rest, chosen in ``ways`` ways
-    (``_block_splits``); the rest is partitioned on its own.
+    The recursion takes the block holding lam[0]: lam[0] plus a
+    sub-multiset sigma of the rest, chosen in ``ways`` ways
+    (``_block_splits``); the rest is partitioned on its own. This is the
+    paper's form of the sums, which the adjoint engine takes one part at
+    a time instead, so the tests compare two derivations.
     """
     if not lam:
         return SymFunc.one()

@@ -109,8 +109,10 @@ class SymFunc:
     def _build(cls, nums: dict, den: int = 1, cutoff=None) -> "SymFunc":
         """The sum of (nums[nu] / den) p_nu, int values and den > 0, with
         zeros dropped and the pair divided by its gcd. The caller keeps
-        every key within the cutoff."""
-        nums = {lam: c for lam, c in nums.items() if c}
+        every key within the cutoff and hands nums over: the element keeps
+        the dict itself unless a zero or a common factor must go."""
+        if not all(nums.values()):
+            nums = {lam: c for lam, c in nums.items() if c}
         if den != 1:
             g = gcd(den, *nums.values())
             if g != 1:
@@ -442,7 +444,7 @@ def _m_scaled_in_p(lam) -> tuple:
     Mobius inversion over the set partitions pi of the positions of lam
     gives prod_i m_i(lam)! m_lam = sum_pi prod_B (-1)^(|B|-1) (|B|-1)!
     p_{lam_pi}, where lam_pi has one part per block B, the sum of the
-    parts in it. As in ``frobenius._pleth_coeff`` the recursion takes the
+    parts in it. As in ``frobenius._p_direct`` the recursion takes the
     block holding lam[0]: lam[0] plus a sub-multiset sigma of the rest,
     chosen in prod_j comb(m_j(rest), m_j(sigma)) ways (``_block_splits``),
     with weight (-1)^len(sigma) len(sigma)!, merged into the one part

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import symfrob
 from symfrob.frobenius import (
-    _block_weights,
     _pleth_coeff,
     coeff,
     coeff_table,
@@ -47,7 +46,6 @@ from symfrob.partitions import (
 )
 from symfrob.symfunc import (
     BASES,
-    IntegralityError,
     InternalCheckError,
     SymFunc,
     from_basis,
@@ -157,27 +155,50 @@ def test_column_is_the_transform_of_one_power_sum():
 
 
 def test_pleth_coeff_rejects_series_with_constant_term():
-    for rho in [(), (1,), (2, 1)]:
-        with pytest.raises(ValueError, match="constant term"):
-            _pleth_coeff("H", rho)
+    for name in ["H", "Hgeq2"]:
+        for rho in [(), (1,), (2, 1)]:
+            with pytest.raises(ValueError, match="no one-part step"):
+                _pleth_coeff(name, rho)
 
 
-def test_pleth_coeff_rejects_non_integral_block_weight(monkeypatch):
-    # g = p_1 / 2 gives the block (1,) the weight z_(1) / 2 = 1/2.
-    half_p1 = lambda name, lam: Fraction(1, 2) if lam == (1,) else Fraction(0)
-    monkeypatch.setattr(symfrob.frobenius, "_series_coefficient", half_p1)
-    _pleth_coeff.cache_clear()
-    _block_weights.cache_clear()
-    try:
-        with pytest.raises(IntegralityError, match="weight of block"):
-            _pleth_coeff("half", (1,))
-    finally:
-        _pleth_coeff.cache_clear()
-        _block_weights.cache_clear()
+def divisors_of(r):
+    return [k for k in range(1, r + 1) if r % k == 0]
+
+
+def apply_d(r, f):
+    """D_r f = sum over k | r of p_k (f + k df/dp_k), on the p terms of f."""
+    out = {}
+    for nu, c in f.terms():
+        for k in divisors_of(r):
+            grown = tuple(sorted(nu + (k,), reverse=True))
+            out[grown] = out.get(grown, 0) + c
+            out[nu] = out.get(nu, 0) + k * nu.count(k) * c
+    return SymFunc(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    terms=st.dictionaries(
+        partition_up_to(5), st.fractions(-3, 3, max_denominator=4), max_size=4
+    ),
+)
+def test_fsur_of_one_more_part_is_d_r(r, terms):
+    g = SymFunc(terms)
+    assert fsur(p(r) * g) == apply_d(r, fsur(g))
+
+
+def test_fsurinv_of_a_part_power_is_a_falling_factorial():
+    for c in range(1, 7):
+        q = SymFunc({(k,): mobius(c // k) for k in divisors_of(c)})
+        want = SymFunc.one()
+        for m in range(5):
+            assert fsurinv_p_direct((c,) * m) == want, (c, m)
+            want = want * (q - m * c)
 
 
 def test_fsur_of_p40_enumerates_no_partitions_of_40(monkeypatch):
-    # Each block weight reads one series coefficient; no series is expanded.
+    # One step per divisor of 40; no series is expanded and no partition of 40 listed.
     symfrob.clear_caches()
     requested = []
     enumerate_partitions = symfrob.partitions._partitions_of
@@ -477,7 +498,11 @@ def test_direct_routes_sweep():
     for lam in partitions_up_to(6):
         assert fsur_h_direct(lam) == fsur(from_basis("h", lam)), lam
         assert fsur_e_direct(lam) == fsur(from_basis("e", lam)), lam
-        assert fsur_p_direct(lam) == fsur(from_basis("p", lam)), lam
+
+
+def test_fsur_p_direct_matches_the_adjoint_engine():
+    for lam in partitions_up_to(12):
+        assert fsur_p_direct(lam) == fsur(p(*lam)), lam
 
 
 def test_fsurinv_p_direct_matches_the_adjoint_engine():
