@@ -18,8 +18,7 @@ with q_c = sum_{k|c} mu(c/k) p_k. By the exponential formula the sum
 over m of fsurinv(p_c^m) x^m / m! is exp((q_c / c) log(1 + c x)) =
 (1 + c x)^(q_c / c), so fsurinv(p_c^m) is the falling-factorial product
 of (q_c - i c) over i < m, and fsurinv(p_rho) is the product of these
-over the distinct parts c of rho. Lsum, without the sign, gives the
-rising product of (q_c + i c).
+over the distinct parts c of rho.
 
 A transform sums its input's int numerators along the columns. The full
 transform is ``fsur(f)`` times the complete homogeneous series. The
@@ -28,7 +27,9 @@ r, a and b are Pieri strip sums over their memoized columns. Alongside
 the adjoint engine this module carries the closed-form expansions of
 fsur in the h, e and p bases and of fsurinv in the p basis, the word
 formulas for the inverse in the e basis, vanishing bounds, and the
-Durfee square criterion with its witness search.
+Durfee square criterion with its witness search. The p closed forms read
+the m basis's set-partition sum ``symfunc._set_partition_sum`` with their
+own block weights, and the h and e ones share ``_assignment_sum``.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from types import MappingProxyType
 
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
     _PART_ENTRIES,
-    _block_splits,
     _count,
     _part_id,
     as_partition,
@@ -64,6 +64,7 @@ from .symfunc import (
     _int_column_sum,
     _linear_combination,
     _s_scaled_in_p,
+    _set_partition_sum,
     from_basis,
     plethysm,
     skew,
@@ -89,12 +90,12 @@ def _part_step(series_name: str, r: int, i: int) -> tuple:
     before it. For Hplus every step is (k, 1, k), k | r, and the shift is
     0: ``D_r`` of the module docstring. For Cadogan the steps are
     (k, mu(r/k), 0), the nonzero terms of q_r, and the shift is -i r: the
-    factor (q_r - i r). Lsum shifts by +i r.
+    factor (q_r - i r).
     """
     if series_name == "Hplus":
         return tuple((k, 1, k) for k in divisors(r)), 0
     steps = tuple((k, mobius(r // k), 0) for k in divisors(r) if mobius(r // k))
-    return steps, (-i * r if series_name == "Cadogan" else i * r)
+    return steps, -i * r
 
 
 @lru_cache(maxsize=None)
@@ -107,11 +108,11 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
     <p_nu[g], p_rho> / z_nu. It is one pass over the column of rho[:-1]:
     each entry (nu, c) adds weight * c to nu with one more part k for
     each step of ``_part_step``, and (shift + sum of slope * m_k(nu)) * c
-    to nu itself. Hplus, Cadogan and Lsum are the series with a one-part
-    step; any other raises ``ValueError``. Each nu is keyed by its
-    partition id (``partitions._PART_ENTRIES``).
+    to nu itself. Hplus and Cadogan are the series with a one-part step;
+    any other raises ``ValueError``. Each nu is keyed by its partition id
+    (``partitions._PART_ENTRIES``).
     """
-    if series_name not in ("Hplus", "Cadogan", "Lsum"):
+    if series_name not in ("Hplus", "Cadogan"):
         raise ValueError(f"series {series_name!r} has no one-part step")
     if not rho:
         return ((_part_id(()), 1),)
@@ -221,42 +222,39 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
 # -- closed-form expansions -------------------------------------------------
 
 
-def _assignments(vectors, target):
-    """Multiplicity assignments M over the vectors with column sums = target.
+def _assignment_sum(lam, vectors) -> SymFunc:
+    """The sum over the multiplicity assignments M of the (basis, vector)
+    pairs with sum_v M(v) v = lam of the product of basis_(M(v)) over the
+    vectors with M(v) > 0.
 
-    Yields Counter keys (h_values, e_values) where each entry of the pair
-    is the sorted tuple of positive multiplicities landing in that slot;
-    the caller decides each vector's slot via its attached tag.
-    Vectors are (tag, vector) pairs with tag 0 (h slot) or 1 (e slot).
+    The recursion fixes the multiplicity of one vector at a time, those of
+    largest sum first, and counts each multiset of (basis, M(v)) factors;
+    each distinct product is built once. The empty lam has one assignment,
+    the empty one, so its sum is 1.
     """
-    counter: Counter = Counter()
-    ell = len(target)
-    h_vals: list = []
-    e_vals: list = []
+    vectors = sorted(vectors, key=lambda bv: -sum(bv[1]))
+    found: Counter = Counter()
 
-    def rec(idx, remaining):
+    def rec(idx, remaining, factors):
         if not any(remaining):
-            counter[
-                (
-                    tuple(sorted(h_vals, reverse=True)),
-                    tuple(sorted(e_vals, reverse=True)),
-                )
-            ] += 1
+            found[tuple(sorted(factors))] += 1
             return
         if idx == len(vectors):
             return
-        tag, vec = vectors[idx]
-        rec(idx + 1, remaining)
-        cmax = min(remaining[t] // vec[t] for t in range(ell) if vec[t])
-        bucket = h_vals if tag == 0 else e_vals
-        for count in range(1, cmax + 1):
-            rem = tuple(remaining[t] - count * vec[t] for t in range(ell))
-            bucket.append(count)
-            rec(idx + 1, rem)
-            bucket.pop()
+        basis, vec = vectors[idx]
+        rec(idx + 1, remaining, factors)
+        most = min(left // step for left, step in zip(remaining, vec) if step)
+        for count in range(1, most + 1):
+            rest = tuple(left - count * step for left, step in zip(remaining, vec))
+            rec(idx + 1, rest, factors + ((basis, count),))
 
-    rec(0, tuple(target))
-    return counter
+    rec(0, lam, ())
+    return _linear_combination(
+        [
+            (count, prod((from_basis(b, (m,)) for b, m in key), start=SymFunc.one()))
+            for key, count in found.items()
+        ]
+    )
 
 
 def fsur_h_direct(lam) -> SymFunc:
@@ -267,18 +265,8 @@ def fsur_h_direct(lam) -> SymFunc:
     the h product of its positive multiplicities.
     """
     lam = partition_from_composition(lam)
-    if not lam:
-        return SymFunc.one()
-    vectors = [
-        (0, v)
-        for v in product(*(range(part + 1) for part in lam))
-        if any(v)
-    ]
-    vectors.sort(key=lambda tv: -sum(tv[1]))
-    assignments = _assignments(vectors, lam).items()
-    return _linear_combination(
-        [(count, from_basis("h", h_vals)) for (h_vals, _), count in assignments]
-    )
+    vectors = [("h", v) for v in product(*(range(part + 1) for part in lam)) if any(v)]
+    return _assignment_sum(lam, vectors)
 
 
 def fsur_e_direct(lam) -> SymFunc:
@@ -289,40 +277,23 @@ def fsur_e_direct(lam) -> SymFunc:
     odd.
     """
     lam = partition_from_composition(lam)
-    if not lam:
-        return SymFunc.one()
-    ell = len(lam)
-    vectors = [
-        (sum(v) % 2, v) for v in product((0, 1), repeat=ell) if any(v)
-    ]
-    vectors.sort(key=lambda tv: -sum(tv[1]))
-    return _linear_combination(
-        [
-            (count, from_basis("h", h_vals) * from_basis("e", e_vals))
-            for (h_vals, e_vals), count in _assignments(vectors, lam).items()
-        ]
-    )
+    vectors = [("he"[sum(v) % 2], v) for v in product((0, 1), repeat=len(lam)) if any(v)]
+    return _assignment_sum(lam, vectors)
 
 
-@lru_cache(maxsize=None)
-def _divisor_power_sum(g: int, size: int) -> SymFunc:
-    return SymFunc._build({(d,): d ** (size - 1) for d in divisors(g)})
+def _fsur_p_block(block) -> tuple:
+    """fsur's weight of a block of size s: the sum of d^(s-1) p_d over d | gcd(block)."""
+    return tuple((d, d ** (len(block) - 1)) for d in divisors(gcd(*block)))
 
 
-def _fsur_p_block(block) -> SymFunc:
-    """fsur's weight of one block: the sum of d^(s-1) p_d over d | gcd(block)."""
-    return _divisor_power_sum(gcd(*block), len(block))
-
-
-@lru_cache(maxsize=None)
-def _fsurinv_p_block(block) -> SymFunc:
+def _fsurinv_p_block(block) -> tuple:
     """fsurinv's weight of one block: on c^s, (-1)^(s-1) (s-1)! c^(s-1) times
     the sum of mu(c/k) p_k over k | c; 0 on a block of unequal parts."""
     c, size = block[0], len(block)
     if block[-1] != c:
-        return SymFunc.zero()
+        return ()
     scale = (-1) ** (size - 1) * factorial(size - 1) * c ** (size - 1)
-    return SymFunc._build({(k,): scale * mobius(c // k) for k in divisors(c)})
+    return tuple((k, scale * mobius(c // k)) for k in divisors(c) if mobius(c // k))
 
 
 def fsur_p_direct(lam) -> SymFunc:
@@ -330,9 +301,12 @@ def fsur_p_direct(lam) -> SymFunc:
 
     Sums over set partitions of the index positions; a block of size s
     with part gcd g contributes the sum of d^(s-1) p_d over divisors d
-    of g.
+    of g. This is the paper's form of the sum (``_set_partition_sum``),
+    which the adjoint engine takes one part at a time instead, so the
+    tests compare two derivations.
     """
-    return _p_direct(_fsur_p_block, partition_from_composition(lam))
+    lam = partition_from_composition(lam)
+    return SymFunc._build(dict(_set_partition_sum(_fsur_p_block, lam)))
 
 
 def fsurinv_p_direct(lam) -> SymFunc:
@@ -342,27 +316,8 @@ def fsurinv_p_direct(lam) -> SymFunc:
     parts contribute, a block c^s the sum of (-1)^(s-1) (s-1)! c^(s-1)
     mu(c/k) p_k over divisors k of c.
     """
-    return _p_direct(_fsurinv_p_block, partition_from_composition(lam))
-
-
-@lru_cache(maxsize=None)
-def _p_direct(block_weight, lam) -> SymFunc:
-    """The product of block weights summed over the set partitions of lam.
-
-    The recursion takes the block holding lam[0]: lam[0] plus a
-    sub-multiset sigma of the rest, chosen in ``ways`` ways
-    (``_block_splits``); the rest is partitioned on its own. This is the
-    paper's form of the sums, which the adjoint engine takes one part at
-    a time instead, so the tests compare two derivations.
-    """
-    if not lam:
-        return SymFunc.one()
-    summands = []
-    for sigma, ways, left in _block_splits(lam[1:]):
-        weight = block_weight(lam[:1] + sigma)
-        if not weight.is_zero:
-            summands.append((ways, weight * _p_direct(block_weight, left)))
-    return _linear_combination(summands)
+    lam = partition_from_composition(lam)
+    return SymFunc._build(dict(_set_partition_sum(_fsurinv_p_block, lam)))
 
 
 # -- word formulas for the inverse ------------------------------------------

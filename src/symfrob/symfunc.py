@@ -13,7 +13,8 @@ constructor ``SymFunc._build``. Basis elements are memoized. s_lam and
 m_lam are rows of ints over one scale (n! for s_lam, the product of the
 multiplicity factorials for m_lam); h_k is the class sizes of S_k over
 k!, h_lam is the product of its one-part elements, and e_lam is
-omega(h_lam).
+omega(h_lam). The m row is the set-partition sum ``_set_partition_sum``,
+which the p closed forms of ``frobenius`` read with other block weights.
 Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
 of lam and the class mu. A Fraction is built only when a coefficient is
 read, and the Schur conversion still sums Fractions.
@@ -438,39 +439,42 @@ def _p_in_m(nu) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _m_scaled_in_p(lam) -> tuple:
-    """m_lam times prod_i m_i(lam)!, in the p basis as (nu, int) pairs.
+def _set_partition_sum(block_weight, lam) -> tuple:
+    """The sum over the set partitions of the positions of lam of the
+    product of the block weights, in the p basis as (nu, int) pairs.
 
-    Mobius inversion over the set partitions pi of the positions of lam
-    gives prod_i m_i(lam)! m_lam = sum_pi prod_B (-1)^(|B|-1) (|B|-1)!
-    p_{lam_pi}, where lam_pi has one part per block B, the sum of the
-    parts in it. As in ``frobenius._p_direct`` the recursion takes the
-    block holding lam[0]: lam[0] plus a sub-multiset sigma of the rest,
-    chosen in prod_j comb(m_j(rest), m_j(sigma)) ways (``_block_splits``),
-    with weight (-1)^len(sigma) len(sigma)!, merged into the one part
-    lam[0] + |sigma| (|sigma| the sum of its parts).
+    block_weight(B) is a tuple of (k, int) pairs, an int sum of one-part
+    power sums p_k, so each product is an int sum of single p_nu. The
+    recursion takes the block holding lam[0]: lam[0] plus a sub-multiset
+    sigma of the rest, chosen in prod_j comb(m_j(rest), m_j(sigma)) ways
+    (``_block_splits``); the rest is partitioned on its own.
     """
     if not lam:
         return (((), 1),)
     out = {}
     for sigma, ways, left in _block_splits(lam[1:]):
-        c = (-1) ** len(sigma) * factorial(len(sigma)) * ways
-        merged = (lam[0] + sum(sigma),)
-        for nu, d in _m_scaled_in_p(left):
-            key = multiset_union(merged, nu)
-            out[key] = out.get(key, 0) + c * d
+        for k, c in block_weight(lam[:1] + sigma):
+            for nu, d in _set_partition_sum(block_weight, left):
+                key = multiset_union((k,), nu)
+                out[key] = out.get(key, 0) + ways * c * d
     return tuple((nu, c) for nu, c in out.items() if c)
+
+
+def _m_block(block) -> tuple:
+    """m's weight of a block B, (-1)^(|B|-1) (|B|-1)! p_(sum of B): by Mobius
+    inversion (Macdonald I.6) prod_i m_i(lam)! m_lam is their set-partition sum."""
+    return ((sum(block), (-1) ** (len(block) - 1) * factorial(len(block) - 1)),)
 
 
 def from_basis(basis: str, lam) -> SymFunc:
     """The basis element with the given index, as an exact SymFunc.
 
-    An s or m element is its integer row (``_s_scaled_in_p``,
-    ``_m_scaled_in_p``) over its scale, reduced once and memoized. h_k is
-    the sum over rho of k of (k!/z_rho) p_rho over k!, k!/z_rho the size
-    of the class rho in the symmetric group; h_lam is the product of its
-    one-part elements, since h is multiplicative, and e_lam is
-    omega(h_lam) (Macdonald I.2).
+    An s or m element is its integer row (``_s_scaled_in_p``, or
+    ``_set_partition_sum`` with ``_m_block``) over its scale, reduced once
+    and memoized. h_k is the sum over rho of k of (k!/z_rho) p_rho over
+    k!, k!/z_rho the size of the class rho in the symmetric group; h_lam
+    is the product of its one-part elements, since h is multiplicative,
+    and e_lam is omega(h_lam) (Macdonald I.2).
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -493,7 +497,7 @@ def _basis_element(basis: str, lam) -> SymFunc:
     if basis == "s":
         pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
     else:
-        pairs = _m_scaled_in_p(lam)
+        pairs = _set_partition_sum(_m_block, lam)
         scale = prod(map(factorial, multiplicities(lam).values()))
     return SymFunc._build(dict(pairs), scale)
 
@@ -729,14 +733,12 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
 
     H (all complete homogeneous), Hplus (H - 1), Hgeq2 (H - 1 - h_1),
     E, Emin (alternating elementary), Lsum (sum of the Lyndon symmetric
-    functions), Cadogan (the plethystic inverse of Hplus), and Lyndon
-    (the single degree-``cutoff`` Lyndon function, which is exact).
-    Every coefficient comes from ``_series_coefficient``; the series of
-    ``_RECTANGLE_SERIES`` list only their rectangle terms.
+    functions) and Cadogan (the plethystic inverse of Hplus); any other
+    name raises ValueError. The single Lyndon function of one degree is
+    ``lyndon_sf``. Every coefficient comes from ``_series_coefficient``;
+    the series of ``_RECTANGLE_SERIES`` list only their rectangle terms.
     """
     cutoff = _count(cutoff)
-    if name == "Lyndon":
-        return lyndon_sf(cutoff)
     terms = {}
     for n in range(cutoff + 1):
         if name in _RECTANGLE_SERIES:

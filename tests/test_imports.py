@@ -1,10 +1,10 @@
 """Every name a symfrob module imports is used there, every private
-module-level helper is used somewhere in the package, every lru_cache
-decorates a module-level function, no module uses an assert statement,
-only symfunc.py touches a SymFunc's numerator form, only SymFunc._build
-builds one without __init__, the CLI loads no standard library module
-beyond what its own imports need, and every symfrob name the benchmark
-binds exists."""
+module-level helper is used somewhere in the package, one function calls
+``partitions._block_splits``, every lru_cache decorates a module-level
+function, no module uses an assert statement, only symfunc.py touches a
+SymFunc's numerator form, only SymFunc._build builds one without
+__init__, the CLI loads no standard library module beyond what its own
+imports need, and every symfrob name the benchmark binds exists."""
 
 import ast
 import importlib
@@ -100,6 +100,61 @@ def test_dead_helper_is_reported():
         "b.py": "from a import _used\n\n\nclass _Gone:\n    pass\n\n\nx = _used()\n",
     }
     assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]
+
+
+def callers(sources: dict, name: str) -> list:
+    """(module, definition) of each top-level function or class, or
+    "<module>" for any other top-level statement, that calls ``name`` by a
+    bare name or as an attribute, nested functions and methods included."""
+    found = set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if any(
+                isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(statement)
+            ):
+                found.add((module, getattr(statement, "name", "<module>")))
+    return sorted(found)
+
+
+def test_block_splits_has_one_caller():
+    # The sub-multiset splits feed one set-partition sum; the m basis and
+    # the p closed forms of the transforms read that sum with their own
+    # block weights instead of each recursing over the splits.
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    found = callers(sources, "_block_splits")
+    assert len(found) == 1, found
+
+
+def test_caller_is_reported():
+    sources = {
+        "a.py": (
+            "from b import _block_splits\n"
+            "\n"
+            "def one(lam):\n"
+            "    return _block_splits(lam)\n"
+            "\n"
+            "def merely_names():\n"
+            "    return _block_splits\n"
+        ),
+        "b.py": (
+            "import partitions\n"
+            "\n"
+            "class C:\n"
+            "    def two(self, lam):\n"
+            "        def inner():\n"
+            "            return partitions._block_splits(lam)\n"
+            "        return inner()\n"
+            "\n"
+            "splits = _block_splits(())\n"
+        ),
+    }
+    assert callers(sources, "_block_splits") == [
+        ("a.py", "one"),
+        ("b.py", "<module>"),
+        ("b.py", "C"),
+    ]
 
 
 def misplaced_caches(source: str) -> list:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfrob
-from symfrob.frobenius import _divisor_power_sum, fsur, fsurinv
+from symfrob.frobenius import fsur, fsur_p_direct, fsurinv, fsurinv_p_direct
 from symfrob.partitions import (
     conjugate,
     multiplicities,
@@ -21,11 +21,12 @@ from symfrob.symfunc import (
     PrecisionError,
     _SERIES_START,
     SymFunc,
-    _m_scaled_in_p,
+    _m_block,
     _p_in_h,
     _p_in_m,
     _s_scaled_in_p,
     _series_coefficient,
+    _set_partition_sum,
     character_value,
     from_basis,
     from_serializable,
@@ -211,7 +212,7 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
     for basis in ("h", "e", "m"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
-    for memo in ("_basis_element", "_m_scaled_in_p"):
+    for memo in ("_basis_element", "_set_partition_sum"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
@@ -466,7 +467,10 @@ def test_plethysm_series_constant_term_rejected():
 def test_lyndon_series_terms():
     assert lyndon_sf(1) == p(1)
     assert lyndon_sf(2) == e(2)
-    assert standard_series("Lyndon", 2) == e(2)
+    assert lyndon_sf(3) == (p(1, 1, 1) - p(3)) * Fraction(1, 3)
+    # The single Lyndon function is lyndon_sf, not a named series.
+    with pytest.raises(ValueError, match="unknown series"):
+        standard_series("Lyndon", 2)
 
 
 def test_cadogan_is_plethystic_inverse_of_hplus():
@@ -620,7 +624,7 @@ def basis_row(basis, lam):
         return _s_scaled_in_p(lam), math.factorial(sum(lam))
     if basis == "m":
         scale = math.prod(map(math.factorial, multiplicities(lam).values()))
-        return _m_scaled_in_p(lam), scale
+        return _set_partition_sum(_m_block, lam), scale
     # h_lam times prod_i lam_i!: the product over the parts k of lam of the
     # class sizes k!/z_rho of the symmetric group, rho running over k.
     row = {(): 1}
@@ -712,7 +716,7 @@ def test_every_builder_returns_a_normalized_element(f, g, c, n, cutoff, name, ba
         f.truncate(n), series.truncate(min(n, cutoff)), f.homogeneous_component(n),
         lyndon_sf(n + 1), standard_series(name, cutoff),
         from_serializable(to_serializable(f, basis)), fsur(f), fsurinv(f),
-        _divisor_power_sum(n + 1, cutoff + 1),
+        fsur_p_direct((n + 1,) * (cutoff + 1)), fsurinv_p_direct((n + 1,) * (cutoff + 1)),
     ]
     for out in outputs:
         assert_normalized(out)
