@@ -152,8 +152,13 @@ class _ExprParser:
 
 
 def parse_expr(text: str, sort_indices: bool = False):
-    """Parse an expression into its syntax tree of tagged tuples."""
-    return _ExprParser(text, sort_indices).parse()
+    """Parse an expression into its syntax tree of tagged tuples; nesting
+    deeper than the interpreter's recursion limit raises ExprError."""
+    parser = _ExprParser(text, sort_indices)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprError("expression nests too deeply", parser.pos) from None
 
 
 def format_expr(node) -> str:

@@ -64,6 +64,7 @@ from .symfunc import (
     _int_column_sum,
     _linear_combination,
     _s_scaled_in_p,
+    _series_term,
     _set_partition_sum,
     from_basis,
     plethysm,
@@ -363,14 +364,12 @@ def fsurinv_e_words(alpha) -> SymFunc:
 
 
 def fsurinv_h_direct(r: int) -> SymFunc:
-    """fsurinv of a single complete homogeneous function: alternating h e sum."""
+    """fsurinv of a single complete homogeneous function: the sum over k of
+    h_(r-2k) times (-1)^k e_k, each factor a term of H or Emin."""
     r = _count(r)
-    summands = []
-    for k in range(r // 2 + 1):
-        h = from_basis("h", (r - 2 * k,) if r - 2 * k else ())
-        e = from_basis("e", (k,) if k else ())
-        summands.append(((-1) ** k, h * e))
-    return _linear_combination(summands)
+    return _linear_combination(
+        [(1, _series_term("H", r - 2 * k) * _series_term("Emin", k)) for k in range(r // 2 + 1)]
+    )
 
 
 # -- generating function identities ------------------------------------------
@@ -389,19 +388,13 @@ def _tpoly_mul(a: dict, b: dict, bound: int) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def _series_factor(exponent, bound: int, kind: str, num_vars: int) -> dict:
-    """Single-word factor: all h_r (kind "h") or (-1)^r e_r (kind "e") terms."""
-    step = sum(exponent)
-    out = {(0,) * num_vars: SymFunc.one()}
-    r = 1
-    while r * step <= bound:
-        key = tuple(r * x for x in exponent)
-        if kind == "h":
-            out[key] = from_basis("h", (r,))
-        else:
-            out[key] = from_basis("e", (r,)) * ((-1) ** r)
-        r += 1
-    return out
+def _series_factor(exponent, bound: int, name: str) -> dict:
+    """Single-word factor: the term ``_series_term(name, r)`` of the named
+    series at r * exponent, for each r with r * |exponent| <= bound."""
+    return {
+        tuple(r * x for x in exponent): _series_term(name, r)
+        for r in range(bound // sum(exponent) + 1)
+    }
 
 
 def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
@@ -413,13 +406,14 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
     version, whose right side divides by the product over Lyndon words
     on the squared (pair) alphabet. Both sides are expanded as
     polynomials in num_vars commuting variables through total degree
-    ``bound`` with exact symmetric function coefficients.
+    ``bound`` with exact symmetric function coefficients. Each factor of
+    the right side is one standard series, H or its inverse Emin, laid
+    along a word's content vector term by term (``_series_factor``).
     """
     num_vars, bound = _count(num_vars, 1), _count(bound, 1)
     if which not in ("reciprocal", "product"):
         raise ValueError(f"unknown identity {which!r}")
 
-    zero_key = (0,) * num_vars
     lhs: dict = {}
     for alpha in product(range(bound + 1), repeat=num_vars):
         if sum(alpha) > bound:
@@ -432,25 +426,17 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
         if not value.is_zero:
             lhs[alpha] = value
 
-    rhs: dict = {zero_key: SymFunc.one()}
+    rhs: dict = {(0,) * num_vars: SymFunc.one()}
+    name = "Emin" if which == "reciprocal" else "H"
     for w in lyndon_words(num_vars, bound):
         exponent = content_vector(w, num_vars)
-        kind = "e" if which == "reciprocal" else "h"
-        rhs = _tpoly_mul(rhs, _series_factor(exponent, bound, kind, num_vars), bound)
+        rhs = _tpoly_mul(rhs, _series_factor(exponent, bound, name), bound)
     if which == "product":
-        pair_alphabet = [
-            (i, j)
-            for i in range(1, num_vars + 1)
-            for j in range(1, num_vars + 1)
-        ]
+        pair_alphabet = list(product(range(1, num_vars + 1), repeat=2))
         for w in lyndon_words(pair_alphabet, bound // 2):
-            exponent = [0] * num_vars
-            for (i, j) in w:
-                exponent[i - 1] += 1
-                exponent[j - 1] += 1
-            rhs = _tpoly_mul(
-                rhs, _series_factor(tuple(exponent), bound, "e", num_vars), bound
-            )
+            # A pair (i, j) adds one to the exponent of each of i and j.
+            exponent = content_vector([i for pair in w for i in pair], num_vars)
+            rhs = _tpoly_mul(rhs, _series_factor(exponent, bound, "Emin"), bound)
     return lhs == rhs
 
 

@@ -12,10 +12,11 @@ from math import comb, factorial
 
 
 def _integers(parts) -> tuple:
-    """The entries of *parts* as ints; a non-integral entry raises ValueError."""
+    """The entries of *parts* as ints; a non-integral entry or a bool
+    (which JSON and Python read as 0 or 1) raises ValueError."""
     raw = tuple(parts)
     out = tuple(map(int, raw))
-    if out != raw:
+    if out != raw or bool in map(type, raw):
         raise ValueError(f"parts must be integers, got {raw}")
     return out
 

@@ -16,7 +16,9 @@ k!, h_lam is the product of its one-part elements, and e_lam is
 omega(h_lam). The m row is the set-partition sum ``_set_partition_sum``,
 which the p closed forms of ``frobenius`` read with other block weights.
 Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
-of lam and the class mu. A Fraction is built only when a coefficient is
+of lam and the class mu. Each standard series sums one element per
+degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon function L_n
+or (-1)^(n-1) omega(L_n). A Fraction is built only when a coefficient is
 read, and the Schur conversion still sums Fractions.
 """
 
@@ -59,14 +61,6 @@ class IntegralityError(InternalCheckError):
     """A coefficient that must be an integer is not."""
 
 
-def _over_common_denominator(coefficients: dict) -> tuple:
-    """(nums, den) for nonzero int or Fraction values: den is the lcm of
-    their denominators, so the pair is already reduced."""
-    den = lcm(*(c.denominator for c in coefficients.values()))
-    nums = {lam: c.numerator * (den // c.denominator) for lam, c in coefficients.items()}
-    return nums, den
-
-
 class SymFunc:
     """A symmetric function in the internal power sum representation.
 
@@ -103,7 +97,10 @@ class SymFunc:
             if cutoff is not None and sum(lam) > cutoff:
                 raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
             out[lam] = c
-        self._nums, self._den = _over_common_denominator(out)
+        # Over the lcm of the denominators the pair is already reduced.
+        den = lcm(*(c.denominator for c in out.values()))
+        self._nums = {lam: c.numerator * (den // c.denominator) for lam, c in out.items()}
+        self._den = den
         self.cutoff = cutoff
 
     @classmethod
@@ -695,36 +692,20 @@ def lyndon_sf(n: int) -> SymFunc:
 # The degree at which each standard series starts.
 _SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "Cadogan": 1}
 
-# The series whose degree-n term is a multiple of lyndon_sf(n), which is
-# supported on the rectangles (d^(n/d)) only: every other p coefficient
-# of them is 0.
-_RECTANGLE_SERIES = frozenset({"Lsum", "Cadogan"})
 
-
-def _series_coefficient(name: str, lam) -> Fraction:
-    """[p_lam] of the named standard series, lam a partition tuple.
-
-    H, Hplus and Hgeq2 sum h_n and E sums e_n, from their start degree;
-    Emin sums (-1)^n e_n. Their coefficient is 1/z_lam, times the omega
-    sign (-1)^(|lam| - len(lam)) for e and (-1)^|lam| more for Emin. Lsum
-    sums the Lyndon functions and Cadogan sums (-1)^(n-1) omega(lyndon_sf(n)),
-    so theirs is the term of lam in lyndon_sf(|lam|), signed likewise.
-    """
-    if name not in _SERIES_START:
-        raise ValueError(f"unknown series {name!r}")
-    n = sum(lam)
-    if n < _SERIES_START[name]:
-        return Fraction(0)
-    omega_sign = (-1) ** (n - len(lam))
-    if name in _RECTANGLE_SERIES:
-        c = lyndon_sf(n).coefficient(lam)
-        if name == "Lsum" or not c:
-            return c
-        return c * omega_sign * (-1) ** (n - 1)
-    if name[0] == "H":
-        return Fraction(1, z_value(lam))
-    sign = omega_sign if name == "E" else omega_sign * (-1) ** n
-    return Fraction(sign, z_value(lam))
+def _series_term(name: str, n: int) -> SymFunc:
+    """The degree-n term of the named standard series (Macdonald I.2): h_n
+    for H, Hplus and Hgeq2, e_n for E, (-1)^n e_n for Emin, lyndon_sf(n)
+    for Lsum and (-1)^(n-1) omega(lyndon_sf(n)) for Cadogan."""
+    if name in ("H", "Hplus", "Hgeq2"):
+        return _basis_element("h", (n,) if n else ())
+    if name in ("E", "Emin"):
+        term = _basis_element("e", (n,) if n else ())
+        return -term if name == "Emin" and n & 1 else term
+    if name == "Lsum":
+        return lyndon_sf(n)
+    term = omega(lyndon_sf(n))
+    return term if n & 1 else -term
 
 
 @lru_cache(maxsize=None)
@@ -734,22 +715,15 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     H (all complete homogeneous), Hplus (H - 1), Hgeq2 (H - 1 - h_1),
     E, Emin (alternating elementary), Lsum (sum of the Lyndon symmetric
     functions) and Cadogan (the plethystic inverse of Hplus); any other
-    name raises ValueError. The single Lyndon function of one degree is
-    ``lyndon_sf``. Every coefficient comes from ``_series_coefficient``;
-    the series of ``_RECTANGLE_SERIES`` list only their rectangle terms.
+    name raises ValueError. The series is the sum of its terms
+    ``_series_term(name, n)`` from its start degree through the cutoff.
+    The single Lyndon function of one degree is ``lyndon_sf``.
     """
     cutoff = _count(cutoff)
-    terms = {}
-    for n in range(cutoff + 1):
-        if name in _RECTANGLE_SERIES:
-            support = [(d,) * (n // d) for d in divisors(n)] if n else []
-        else:
-            support = partitions_of(n)
-        for lam in support:
-            c = _series_coefficient(name, lam)
-            if c:
-                terms[lam] = c
-    return SymFunc._build(*_over_common_denominator(terms), cutoff)
+    if name not in _SERIES_START:
+        raise ValueError(f"unknown series {name!r}")
+    terms = [(1, _series_term(name, n)) for n in range(_SERIES_START[name], cutoff + 1)]
+    return _linear_combination(terms, cutoff)
 
 
 def leading_term(f: SymFunc, basis: str = "s"):

@@ -191,6 +191,19 @@ def test_transform_parse_error_exit_code(capsys):
     assert err
 
 
+def test_deeply_nested_expression_is_a_usage_error(capsys):
+    # The parser recurses once per parenthesis; past the interpreter's
+    # recursion limit that is an ExprError, not a traceback.
+    expr = "(" * 2000 + "h[1]" + ")" * 2000
+    code, out, err = run_cli(
+        capsys, "transform", "--op", "fsur", "--expr", expr, "--basis", "s"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: expression nests too deeply (at position ")
+    assert "Traceback" not in err
+
+
 def test_lyndon_command(capsys):
     code, out, err = run_cli(capsys, "lyndon", "--word", "21212121111")
     assert code == 0

@@ -154,8 +154,8 @@ def test_column_is_the_transform_of_one_power_sum():
             assert column == dict(transform(p(*rho)).terms()), (name, rho)
 
 
-def test_pleth_coeff_rejects_series_with_constant_term():
-    for name in ["H", "Hgeq2", "Lsum"]:
+def test_pleth_coeff_rejects_series_without_a_one_part_step():
+    for name in ["H", "Hgeq2", "Lsum", "E", "Emin"]:
         for rho in [(), (1,), (2, 1)]:
             with pytest.raises(ValueError, match="no one-part step"):
                 _pleth_coeff(name, rho)
@@ -572,11 +572,11 @@ def test_fsurinv_e_words_composition_invariance():
 )
 def test_non_integral_input_raises(make, least):
     # A count is an int, or an integral float read as that int (the reprs
-    # match, so no float leaks into a result); anything else, or a value
-    # below the entry point's bound, is a usage error.
+    # match, so no float leaks into a result); anything else, a bool
+    # included, or a value below the entry point's bound, is a usage error.
     assert repr(make(2.0)) == repr(make(2))
     make(least)
-    for bad in (2.5, "2", least - 1):
+    for bad in (2.5, "2", least - 1, True):
         with pytest.raises(ValueError, match="integer"):
             make(bad)
 
@@ -913,6 +913,8 @@ def test_negative_degree_raises():
         partitions_up_to(-1)
     with pytest.raises(ValueError):
         coeff_table("r", -1)
+    with pytest.raises(ValueError, match="counts must be integers"):
+        coeff_table("r", True)
     with pytest.raises(ValueError):
         stable_matrix("b", -1)
 

@@ -4,7 +4,8 @@ module-level helper is used somewhere in the package, one function calls
 function, no module uses an assert statement, only symfunc.py touches a
 SymFunc's numerator form, only SymFunc._build builds one without
 __init__, the CLI loads no standard library module beyond what its own
-imports need, and every symfrob name the benchmark binds exists."""
+imports need, every symfrob name the benchmark binds exists, and every
+source line the benchmark self-test patches occurs once."""
 
 import ast
 import importlib
@@ -436,4 +437,71 @@ def test_missing_benchmark_name_is_reported():
         ("make_golden.py", "cli.Sum"),
         ("workloads.py", "S.absent"),
         ("workloads.py", "S.lyndon.gone"),
+    ]
+
+
+def patch_anchors(source: str) -> list:
+    """(file, anchor) of each ``good = "<line>"`` in a test function, file
+    being the path the function patches, relative to the repository: the
+    string parts of its ``<root> / "src" / ... / "<name>.py"`` chain."""
+    found = []
+    for function in ast.parse(source).body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        files, anchors = [], []
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "good" for target in node.targets
+            ):
+                anchors.append(ast.literal_eval(node.value))
+            elif (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Div)
+                and str(getattr(node.right, "value", "")).endswith(".py")
+            ):
+                parts = []
+                while isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant):
+                    parts.append(node.right.value)
+                    node = node.left
+                files.append("/".join(reversed(parts)))
+        found.extend((file, anchor) for file in files for anchor in anchors)
+    return sorted(found)
+
+
+def misplaced_anchors(source: str, read) -> list:
+    """(file, anchor, count) of each patch anchor that does not occur
+    exactly once in ``read(file)``."""
+    counts = [(file, anchor, read(file).count(anchor)) for file, anchor in patch_anchors(source)]
+    return [entry for entry in counts if entry[2] != 1]
+
+
+def test_benchmark_patch_anchors_occur_once():
+    # The benchmark self-test corrupts a copy of the sources by replacing
+    # one line, and Tier-1 never runs it: an anchor that was edited away
+    # or duplicated would break it unseen.
+    source = (BENCHMARKS / "test_bench.py").read_text()
+    assert patch_anchors(source)
+    root = BENCHMARKS.parent
+    assert misplaced_anchors(source, lambda file: (root / file).read_text()) == []
+
+
+def test_misplaced_anchor_is_reported():
+    source = (
+        "def test_once(tmp_path):\n"
+        "    target = tmp_path / 'src' / 'pkg' / 'a.py'\n"
+        "    good = 'return 1'\n"
+        "\n"
+        "def test_twice(tmp_path):\n"
+        "    good = 'x = 1'\n"
+        "    (tmp_path / 'src' / 'a.py').write_text('')\n"
+        "\n"
+        "def test_gone(tmp_path):\n"
+        "    source = (tmp_path / 'src' / 'pkg' / 'b.py').read_text()\n"
+        "    good = 'return 2'\n"
+        "    bad = 'return 3'\n"
+    )
+    files = {"src/pkg/a.py": "return 1\n", "src/a.py": "x = 1\nx = 1\n", "src/pkg/b.py": ""}
+    assert misplaced_anchors(source, files.__getitem__) == [
+        ("src/a.py", "x = 1", 2),
+        ("src/pkg/b.py", "return 2", 0),
     ]

@@ -7,6 +7,7 @@ import pytest
 from symfrob.frobenius import coeff, fsur_h_direct
 from symfrob.partitions import (
     _block_splits,
+    _count,
     as_partition,
     canonical_key,
     conjugate,
@@ -42,6 +43,18 @@ def test_as_partition_validates():
         coeff("t", [2.7], [2.2])
     with pytest.raises(ValueError):
         SymFunc({(1.5,): 1})
+    # A bool is an int in Python, but not a part.
+    for parts in ([True], [2, True], [False]):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            as_partition(parts)
+
+
+def test_count_rejects_booleans():
+    assert _count(3) == 3
+    assert _count(3.0, 1) == 3
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            _count(flag)
 
 
 def test_partition_from_composition():

@@ -25,7 +25,7 @@ from symfrob.symfunc import (
     _p_in_h,
     _p_in_m,
     _s_scaled_in_p,
-    _series_coefficient,
+    _series_term,
     _set_partition_sum,
     character_value,
     from_basis,
@@ -503,14 +503,30 @@ def test_series_contents():
     ).truncate(3)
 
 
-def test_series_coefficient_rule_matches_the_series():
-    for name in _SERIES_START:
+def test_series_term_rule_matches_the_series():
+    for name, start in _SERIES_START.items():
         assert standard_series(name, 8) == standard_series_by_sums(name, 8), name
-        for lam in partitions_up_to(8):
-            want = standard_series(name, sum(lam)).coefficient(lam)
-            assert _series_coefficient(name, lam) == want, (name, lam)
-    with pytest.raises(ValueError, match="unknown series"):
-        _series_coefficient("Lyndon", (1,))
+        for n in range(start, 9):
+            want = standard_series_by_sums(name, n).homogeneous_component(n)
+            assert _series_term(name, n) == want, (name, n)
+    for cutoff in (0, 3):
+        with pytest.raises(ValueError, match="unknown series"):
+            standard_series("Lyndon", cutoff)
+
+
+def test_h_series_times_alternating_e_series_is_one():
+    # The b family skews by Emin as the inverse of H.
+    for cutoff in range(11):
+        product = standard_series("H", cutoff) * standard_series("Emin", cutoff)
+        assert product == SymFunc.one(cutoff), cutoff
+
+
+def test_series_truncates_to_its_shorter_self():
+    for name in _SERIES_START:
+        for cutoff in range(11):
+            series = standard_series(name, cutoff)
+            for d in range(cutoff + 1):
+                assert series.truncate(d) == standard_series(name, d), (name, d, cutoff)
 
 
 def test_span_lemma_and_dual_jacobi_trudi():
@@ -782,6 +798,18 @@ def test_from_serializable_rejects_bad_cutoff(cutoff):
         from_serializable(blob)
     blob["cutoff"] = 3.0
     assert from_serializable(blob) == p(1).truncate(3)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_from_serializable_rejects_booleans(flag):
+    # JSON true and false are not counts or parts, though Python's bool is an int.
+    blob = {"basis": "p", "terms": [{"partition": [1], "num": "1", "den": "1"}], "cutoff": flag}
+    with pytest.raises(ValueError, match="counts must be integers"):
+        from_serializable(blob)
+    blob["cutoff"] = None
+    blob["terms"][0]["partition"] = [flag]
+    with pytest.raises(ValueError, match="parts must be integers"):
+        from_serializable(blob)
 
 
 def test_from_serializable_rejects_zero_denominator():
