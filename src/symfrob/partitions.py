@@ -13,8 +13,11 @@ from math import comb, factorial
 
 def _integers(parts) -> tuple:
     """The entries of *parts* as ints; a non-integral entry or a bool
-    (which JSON and Python read as 0 or 1) raises ValueError."""
+    (which JSON and Python read as 0 or 1) raises ValueError. Entries
+    that are all exact ints, the common case, return as they are."""
     raw = tuple(parts)
+    if {*map(type, raw)} <= {int}:
+        return raw
     out = tuple(map(int, raw))
     if out != raw or bool in map(type, raw):
         raise ValueError(f"parts must be integers, got {raw}")
@@ -22,8 +25,8 @@ def _integers(parts) -> tuple:
 
 
 def _count(value, least=0) -> int:
-    """*value* as an int of at least *least*: 2.0 gives 2, while 2.5, "2"
-    or a smaller value raise ValueError."""
+    """*value* as an int of at least *least*: 2.0 gives 2, while 2.5, "2",
+    True or a smaller value raise ValueError."""
     if type(value) is int and value >= least:
         return value
     try:

@@ -696,7 +696,8 @@ _SERIES_START = {"H": 0, "Hplus": 1, "Hgeq2": 2, "E": 0, "Emin": 0, "Lsum": 1, "
 def _series_term(name: str, n: int) -> SymFunc:
     """The degree-n term of the named standard series (Macdonald I.2): h_n
     for H, Hplus and Hgeq2, e_n for E, (-1)^n e_n for Emin, lyndon_sf(n)
-    for Lsum and (-1)^(n-1) omega(lyndon_sf(n)) for Cadogan."""
+    for Lsum and (-1)^(n-1) omega(lyndon_sf(n)) for Cadogan; any other name
+    raises ValueError."""
     if name in ("H", "Hplus", "Hgeq2"):
         return _basis_element("h", (n,) if n else ())
     if name in ("E", "Emin"):
@@ -704,8 +705,9 @@ def _series_term(name: str, n: int) -> SymFunc:
         return -term if name == "Emin" and n & 1 else term
     if name == "Lsum":
         return lyndon_sf(n)
-    term = omega(lyndon_sf(n))
-    return term if n & 1 else -term
+    if name == "Cadogan":
+        return omega(lyndon_sf(n)) * (-1) ** (n - 1)
+    raise ValueError(f"unknown series {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -720,9 +722,8 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
     The single Lyndon function of one degree is ``lyndon_sf``.
     """
     cutoff = _count(cutoff)
-    if name not in _SERIES_START:
-        raise ValueError(f"unknown series {name!r}")
-    terms = [(1, _series_term(name, n)) for n in range(_SERIES_START[name], cutoff + 1)]
+    # An unknown name starts at degree 0, where _series_term raises.
+    terms = [(1, _series_term(name, n)) for n in range(_SERIES_START.get(name, 0), cutoff + 1)]
     return _linear_combination(terms, cutoff)
 
 

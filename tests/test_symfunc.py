@@ -512,6 +512,9 @@ def test_series_term_rule_matches_the_series():
     for cutoff in (0, 3):
         with pytest.raises(ValueError, match="unknown series"):
             standard_series("Lyndon", cutoff)
+    for n in (0, 1, 4):
+        with pytest.raises(ValueError, match="unknown series"):
+            _series_term("Lyndon", n)
 
 
 def test_h_series_times_alternating_e_series_is_one():
