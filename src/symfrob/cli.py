@@ -85,7 +85,7 @@ class _ExprParser:
     def uint(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an unsigned integer")
@@ -120,7 +120,7 @@ class _ExprParser:
             inner = self.expr()
             self.expect(")")
             return ("paren", inner)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return ("int", self.uint())
         if ch in BASES:
             atom = self.atom()
@@ -416,14 +416,15 @@ def _nonnegative_int(text: str) -> int:
     """argparse type for degree bounds, read by the library's count rule.
 
     The text is parsed exactly as a Fraction, so "2.0" gives 2 as
-    ``coeff_table("a", 2.0)`` does, while "2.5", "-1" and "x" are rejected.
+    ``coeff_table("a", 2.0)`` does, while "2.5", "-1" and "x" are rejected,
+    as are "1_0" and non-ASCII digits, which Fraction would read.
     """
     try:
-        return _count(Fraction(text))
+        if text.isascii() and "_" not in text:
+            return _count(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -29,7 +29,9 @@ fsur in the h, e and p bases and of fsurinv in the p basis, the word
 formulas for the inverse in the e basis, vanishing bounds, and the
 Durfee square criterion with its witness search. The p closed forms read
 the m basis's set-partition sum ``symfunc._set_partition_sum`` with their
-own block weights, and the h and e ones share ``_assignment_sum``.
+own block weights. The h and e ones, the closed form of fsurinv on one
+h_r and the word-indexed product identities all read a product of
+standard series at one monomial, and share ``_assignment_sum`` for it.
 """
 
 from __future__ import annotations
@@ -223,36 +225,37 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
 # -- closed-form expansions -------------------------------------------------
 
 
-def _assignment_sum(lam, vectors) -> SymFunc:
-    """The sum over the multiplicity assignments M of the (basis, vector)
-    pairs with sum_v M(v) v = lam of the product of basis_(M(v)) over the
-    vectors with M(v) > 0.
+def _assignment_sum(lam, pairs) -> SymFunc:
+    """The coefficient of x^lam in the product over the (series name,
+    vector) pairs of sum_r ``_series_term(name, r)`` x^(r v).
 
-    The recursion fixes the multiplicity of one vector at a time, those of
-    largest sum first, and counts each multiset of (basis, M(v)) factors;
-    each distinct product is built once. The empty lam has one assignment,
-    the empty one, so its sum is 1.
+    It is the sum over the multiplicity assignments M with sum_v M(v) v =
+    lam of the product of the terms ``_series_term(name, M(v))`` over the
+    pairs with M(v) > 0. The recursion fixes the multiplicity of one
+    vector at a time, those of largest sum first, and counts each multiset
+    of (name, M(v)) factors; each distinct product is built once. The
+    zero lam has one assignment, the empty one, so its sum is 1.
     """
-    vectors = sorted(vectors, key=lambda bv: -sum(bv[1]))
+    pairs = sorted(pairs, key=lambda nv: -sum(nv[1]))
     found: Counter = Counter()
 
     def rec(idx, remaining, factors):
         if not any(remaining):
             found[tuple(sorted(factors))] += 1
             return
-        if idx == len(vectors):
+        if idx == len(pairs):
             return
-        basis, vec = vectors[idx]
+        name, vec = pairs[idx]
         rec(idx + 1, remaining, factors)
         most = min(left // step for left, step in zip(remaining, vec) if step)
         for count in range(1, most + 1):
             rest = tuple(left - count * step for left, step in zip(remaining, vec))
-            rec(idx + 1, rest, factors + ((basis, count),))
+            rec(idx + 1, rest, factors + ((name, count),))
 
     rec(0, lam, ())
     return _linear_combination(
         [
-            (count, prod((from_basis(b, (m,)) for b, m in key), start=SymFunc.one()))
+            (count, prod((_series_term(n, m) for n, m in key), start=SymFunc.one()))
             for key, count in found.items()
         ]
     )
@@ -263,23 +266,23 @@ def fsur_h_direct(lam) -> SymFunc:
 
     Sums over multiplicity assignments on nonzero nonnegative vectors
     whose weighted column sums reproduce lam; each assignment contributes
-    the h product of its positive multiplicities.
+    the product of h_M(v), the terms of H, over its positive multiplicities.
     """
     lam = partition_from_composition(lam)
-    vectors = [("h", v) for v in product(*(range(part + 1) for part in lam)) if any(v)]
-    return _assignment_sum(lam, vectors)
+    pairs = [("H", v) for v in product(*(range(part + 1) for part in lam)) if any(v)]
+    return _assignment_sum(lam, pairs)
 
 
 def fsur_e_direct(lam) -> SymFunc:
     """fsur of a product of elementary functions, by direct expansion.
 
     Same shape as the h rule but over 0/1 vectors; a multiplicity sits in
-    an h factor when its vector has even support size, an e factor when
-    odd.
+    an h factor (a term of H) when its vector has even support size, an e
+    factor (a term of E) when odd.
     """
     lam = partition_from_composition(lam)
-    vectors = [("he"[sum(v) % 2], v) for v in product((0, 1), repeat=len(lam)) if any(v)]
-    return _assignment_sum(lam, vectors)
+    pairs = [(("H", "E")[sum(v) % 2], v) for v in product((0, 1), repeat=len(lam)) if any(v)]
+    return _assignment_sum(lam, pairs)
 
 
 def _fsur_p_block(block) -> tuple:
@@ -365,36 +368,11 @@ def fsurinv_e_words(alpha) -> SymFunc:
 
 def fsurinv_h_direct(r: int) -> SymFunc:
     """fsurinv of a single complete homogeneous function: the sum over k of
-    h_(r-2k) times (-1)^k e_k, each factor a term of H or Emin."""
-    r = _count(r)
-    return _linear_combination(
-        [(1, _series_term("H", r - 2 * k) * _series_term("Emin", k)) for k in range(r // 2 + 1)]
-    )
+    h_(r-2k) times (-1)^k e_k, the x^r coefficient of H(x) Emin(x^2)."""
+    return _assignment_sum((_count(r),), [("H", (1,)), ("Emin", (2,))])
 
 
 # -- generating function identities ------------------------------------------
-
-
-def _tpoly_mul(a: dict, b: dict, bound: int) -> dict:
-    out: dict = {}
-    for expa, fa in a.items():
-        da = sum(expa)
-        for expb, fb in b.items():
-            if da + sum(expb) > bound:
-                continue
-            key = tuple(x + y for x, y in zip(expa, expb))
-            cur = out.get(key)
-            out[key] = fb * fa if cur is None else cur + fa * fb
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def _series_factor(exponent, bound: int, name: str) -> dict:
-    """Single-word factor: the term ``_series_term(name, r)`` of the named
-    series at r * exponent, for each r with r * |exponent| <= bound."""
-    return {
-        tuple(r * x for x in exponent): _series_term(name, r)
-        for r in range(bound // sum(exponent) + 1)
-    }
 
 
 def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
@@ -404,40 +382,35 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
     of a product of complete homogeneous series equals the corresponding
     product over Lyndon words. which="product": the direct product
     version, whose right side divides by the product over Lyndon words
-    on the squared (pair) alphabet. Both sides are expanded as
-    polynomials in num_vars commuting variables through total degree
-    ``bound`` with exact symmetric function coefficients. Each factor of
+    on the squared (pair) alphabet. Both sides are power series in
+    num_vars commuting variables with symmetric function coefficients,
+    compared at every x^alpha with |alpha| <= ``bound``. Each factor of
     the right side is one standard series, H or its inverse Emin, laid
-    along a word's content vector term by term (``_series_factor``).
+    along a word's content vector, so its x^alpha coefficient is
+    ``_assignment_sum`` over the words' (series, content vector) pairs.
     """
     num_vars, bound = _count(num_vars, 1), _count(bound, 1)
     if which not in ("reciprocal", "product"):
         raise ValueError(f"unknown identity {which!r}")
+    name = "Emin" if which == "reciprocal" else "H"
+    pairs = [(name, content_vector(w, num_vars)) for w in lyndon_words(num_vars, bound)]
+    if which == "product":
+        pair_alphabet = list(product(range(1, num_vars + 1), repeat=2))
+        for w in lyndon_words(pair_alphabet, bound // 2):
+            # A pair (i, j) adds one to the exponent of each of i and j.
+            pairs.append(("Emin", content_vector([i for pair in w for i in pair], num_vars)))
 
-    lhs: dict = {}
     for alpha in product(range(bound + 1), repeat=num_vars):
         if sum(alpha) > bound:
             continue
         index = partition_from_composition(alpha)
         if which == "reciprocal":
-            value = fsurinv(from_basis("e", index)) * ((-1) ** sum(alpha))
+            lhs = fsurinv(from_basis("e", index)) * ((-1) ** sum(alpha))
         else:
-            value = fsurinv(from_basis("h", index))
-        if not value.is_zero:
-            lhs[alpha] = value
-
-    rhs: dict = {(0,) * num_vars: SymFunc.one()}
-    name = "Emin" if which == "reciprocal" else "H"
-    for w in lyndon_words(num_vars, bound):
-        exponent = content_vector(w, num_vars)
-        rhs = _tpoly_mul(rhs, _series_factor(exponent, bound, name), bound)
-    if which == "product":
-        pair_alphabet = list(product(range(1, num_vars + 1), repeat=2))
-        for w in lyndon_words(pair_alphabet, bound // 2):
-            # A pair (i, j) adds one to the exponent of each of i and j.
-            exponent = content_vector([i for pair in w for i in pair], num_vars)
-            rhs = _tpoly_mul(rhs, _series_factor(exponent, bound, "Emin"), bound)
-    return lhs == rhs
+            lhs = fsurinv(from_basis("h", index))
+        if lhs != _assignment_sum(alpha, pairs):
+            return False
+    return True
 
 
 # -- coefficient families -----------------------------------------------------

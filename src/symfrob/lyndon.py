@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import _count, divisors, mobius
+from .partitions import _count, _decimal, divisors, mobius
 from .symfunc import InternalCheckError
 
 
@@ -117,13 +117,14 @@ def witt_count(alphabet_size: int, n: int) -> int:
 
 
 def parse_word(text: str) -> tuple:
-    """Parse a word: a digit string like "2121", or comma-separated integers."""
+    """Parse a word: an ASCII digit string like "2121", or comma-separated
+    decimal integers like "10,2"."""
     s = text.strip()
     if not s:
         return ()
     if "," in s:
-        return tuple(int(tok) for tok in s.split(","))
-    if not s.isdigit():
+        return tuple(_decimal(tok.strip(), "a letter") for tok in s.split(","))
+    if not (s.isascii() and s.isdigit()):
         raise ValueError(f"cannot parse word from {text!r}")
     return tuple(int(ch) for ch in s)
 

@@ -7,18 +7,23 @@ enumerations are cached and shared freely.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import comb, factorial
 
 
 def _integers(parts) -> tuple:
-    """The entries of *parts* as ints; a non-integral entry or a bool
-    (which JSON and Python read as 0 or 1) raises ValueError. Entries
-    that are all exact ints, the common case, return as they are."""
+    """The entries of *parts* as ints; a non-integral entry, an infinity,
+    a NaN or a bool (which JSON and Python read as 0 or 1) raises
+    ValueError. Entries that are all exact ints, the common case, return
+    as they are."""
     raw = tuple(parts)
     if {*map(type, raw)} <= {int}:
         return raw
-    out = tuple(map(int, raw))
+    try:
+        out = tuple(map(int, raw))
+    except (ValueError, OverflowError):
+        out = None
     if out != raw or bool in map(type, raw):
         raise ValueError(f"parts must be integers, got {raw}")
     return out
@@ -31,11 +36,19 @@ def _count(value, least=0) -> int:
         return value
     try:
         (count,) = _integers((value,))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         count = None
     if count is None or count < least:
         raise ValueError(f"counts must be integers >= {least}, got {value!r}")
     return count
+
+
+def _decimal(text, name) -> int:
+    """The int written in *text* as an optional "-" and ASCII digits; any
+    other text, such as "1_0", " 1" or a non-ASCII digit, raises ValueError."""
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{name} must be a decimal string, got {text!r}")
+    return int(text)
 
 
 def as_partition(parts) -> tuple:
@@ -204,7 +217,7 @@ def parse_partition(text: str) -> tuple:
     if not s:
         return ()
     try:
-        parts = [int(tok) for tok in s.split(",")]
+        parts = [_decimal(tok.strip(), "a part") for tok in s.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
     return as_partition(parts)

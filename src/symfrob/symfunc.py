@@ -24,7 +24,6 @@ read, and the Schur conversion still sums Fractions.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
@@ -33,6 +32,7 @@ from .partitions import (
     _PART_ENTRIES,
     _block_splits,
     _count,
+    _decimal,
     _integers,
     _part_id,
     as_partition,
@@ -763,14 +763,6 @@ def _field(data: dict, key: str):
         raise ValueError(f"serialized form has no {key!r}") from None
 
 
-def _decimal(data: dict, key: str) -> int:
-    """The int written at data[key] as an optional "-" and ASCII digits."""
-    text = _field(data, key)
-    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"{key} must be a decimal string, got {text!r}")
-    return int(text)
-
-
 def from_serializable(data: dict) -> SymFunc:
     """Rebuild a SymFunc from its serialized form.
 
@@ -790,7 +782,7 @@ def from_serializable(data: dict) -> SymFunc:
         lam = as_partition(_field(term, "partition"))
         if cutoff is not None and sum(lam) > cutoff:
             raise ValueError(f"term of degree {sum(lam)} above cutoff {cutoff}")
-        num, den = _decimal(term, "num"), _decimal(term, "den")
+        num, den = (_decimal(_field(term, key), key) for key in ("num", "den"))
         if den == 0:
             raise ValueError(f"zero denominator in the term of {lam}")
         pairs.append((Fraction(num, den), _basis_element(basis, lam)))

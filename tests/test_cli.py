@@ -191,6 +191,26 @@ def test_transform_parse_error_exit_code(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeff", "--kind", "r", "--lam", "[1_0]", "--mu", "[2]"),
+        ("lyndon", "--word", "1_0,2"),
+        ("lyndon", "--word", "\u0663"),
+        ("transform", "--op", "fsur", "--expr", "h[\u0663]", "--basis", "h"),
+        ("transform", "--op", "fsur", "--expr", "h[\u00b2]", "--basis", "h"),
+    ],
+)
+def test_cli_text_reads_ascii_decimals_only(capsys, argv):
+    # int() read "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3, and
+    # raised its own message on the superscript two.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    if argv[0] == "transform":
+        assert err.strip() == "error: expected an unsigned integer (at position 2)"
+
+
 def test_deeply_nested_expression_is_a_usage_error(capsys):
     # The parser recurses once per parenthesis; past the interpreter's
     # recursion limit that is an ExprError, not a traceback.
@@ -302,7 +322,8 @@ def test_maxdeg_follows_the_library_count_rule(capsys):
     want = run_cli(capsys, "table", "--kind", "a", "--maxdeg", "2")
     assert want[0] == 0
     assert run_cli(capsys, "table", "--kind", "a", "--maxdeg", "2.0") == want
-    for text in ("2.5", "2.0000000000000001", "1/0"):
+    # Fraction reads "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3.
+    for text in ("2.5", "2.0000000000000001", "1/0", "1_0", "\u0663"):
         code, out, err = run_cli(capsys, "table", "--kind", "a", "--maxdeg", text)
         assert (code, out) == (1, ""), text
         assert "nonnegative" in err, text

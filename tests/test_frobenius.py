@@ -2,6 +2,7 @@ import json
 import random
 import types
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfrob
+from symfrob import frobenius
+from symfrob.cli import main
 from symfrob.frobenius import (
+    _assignment_sum,
     _pleth_coeff,
     coeff,
     coeff_table,
@@ -33,7 +37,7 @@ from symfrob.frobenius import (
     vanishing_check,
     witness_search,
 )
-from symfrob.lyndon import lyndon_words, witt_count
+from symfrob.lyndon import content_vector, lyndon_words, witt_count
 from symfrob.oracles import frobenius_via_roots, power_value_at_unity
 from symfrob.partitions import (
     conjugate,
@@ -332,21 +336,39 @@ def test_transforms_and_conversions_match_pinned_digest():
     assert digest == "846fb62ca08ac372947e89b51148f22de071b4e1a02d1df708ef5b2581f5a8f6"
 
 
-def test_transforms_match_benchmark_golden_digests():
-    # The benchmark's correctness gate, read from its own files without
-    # importing them: every fsur/fsurinv result of degree <= 10 in
-    # benchmarks/golden.json.
+def _benchmark_files():
+    """The benchmark's workloads module and golden digests, read from its
+    own files without importing them."""
     bench = Path(__file__).resolve().parent.parent / "benchmarks"
     workloads = types.ModuleType("workloads")
     path = bench / "workloads.py"
     exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
-    golden = json.loads((bench / "golden.json").read_text())
+    return workloads, json.loads((bench / "golden.json").read_text())
+
+
+def test_transforms_match_benchmark_golden_digests():
+    # The benchmark's correctness gate: every fsur/fsurinv result of
+    # degree <= 10 in benchmarks/golden.json.
+    workloads, golden = _benchmark_files()
     checked = 0
     for op_id, thunk in workloads.transform_pool(symfrob):
         if sum(map(int, op_id.split(":")[2].split(","))) <= 10:
             assert workloads.digest(thunk()) == golden[op_id], op_id
             checked += 1
     assert checked == 240
+
+
+def test_cli_sweep_matches_benchmark_golden_digests(capsys):
+    # The benchmark counts a CLI command whose exit code and stdout differ
+    # from benchmarks/golden.json as a failed operation; here each one runs
+    # in-process.
+    workloads, golden = _benchmark_files()
+    commands = workloads.cli_commands()
+    for argv in commands:
+        code = main(list(argv))
+        stdout = capsys.readouterr().out
+        assert workloads.cli_digest(code, stdout) == golden[workloads.cli_id(argv)], argv
+    assert len(commands) == 34
 
 
 def test_results_are_keyed_by_partition_tuples():
@@ -605,6 +627,33 @@ def test_fsurinv_h_direct_values():
 )
 def test_genfunc_identities(num_vars, bound, which):
     assert genfunc_identity_check(num_vars, bound, which)
+
+
+@pytest.mark.parametrize(
+    "num_vars,bound,which", [(2, 4, "reciprocal"), (1, 6, "product"), (2, 4, "product")]
+)
+def test_genfunc_identities_fail_for_the_wrong_transform(monkeypatch, num_vars, bound, which):
+    # The check must see which map it applies: with fsur in place of
+    # fsurinv each of these identities fails.
+    monkeypatch.setattr(frobenius, "fsurinv", fsur)
+    assert not genfunc_identity_check(num_vars, bound, which)
+
+
+def test_word_sum_is_the_lyndon_multiset_sum():
+    # The paper's word sum for fsurinv(e_alpha) against the coefficient of
+    # x^alpha in the product of Emin series over the Lyndon words: the
+    # Chen-Fox-Lyndon factorization is a bijection between the words of
+    # content alpha and the multisets of Lyndon words of total content alpha.
+    checked = 0
+    for ell in (1, 2, 3):
+        for alpha in product(range(7), repeat=ell):
+            size = sum(alpha)
+            if not 1 <= size <= 6:
+                continue
+            pairs = [("Emin", content_vector(w, ell)) for w in lyndon_words(ell, size)]
+            assert (-1) ** size * fsurinv_e_words(alpha) == _assignment_sum(alpha, pairs), alpha
+            checked += 1
+    assert checked == 116
 
 
 def test_genfunc_rejects_unknown():

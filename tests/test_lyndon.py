@@ -152,3 +152,11 @@ def test_word_parse_and_format():
     assert format_word(((1, 2), (2, 1))) == "(1,2)(2,1)"
     with pytest.raises(ValueError):
         parse_word("12a")
+    assert parse_word(" 10 , 2 ") == (10, 2)
+
+
+@pytest.mark.parametrize("text", ["1_0,2", "+1,2", "1,", "\u0663,1", "\u0663", "1\u00b2"])
+def test_parse_word_reads_ascii_decimals_only(text):
+    # int() read "1_0" as 10 and "\u0663" (Arabic-Indic three) as 3.
+    with pytest.raises(ValueError):
+        parse_word(text)

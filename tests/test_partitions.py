@@ -181,6 +181,23 @@ def test_parse_and_format():
         assert parse_partition(format_partition(lam)) == lam
 
 
+@pytest.mark.parametrize("text", ["[1_0]", "[+1]", "[1.0]", "[\u0663]", "[\u00b2]", "[1,,1]"])
+def test_parse_partition_reads_ascii_decimals_only(text):
+    # int() read "1_0" as 10, "+1" as 1 and "\u0663" (Arabic-Indic three) as 3.
+    with pytest.raises(ValueError, match="cannot parse partition"):
+        parse_partition(text)
+    assert parse_partition(" [ 3 , 2 ] ") == (3, 2)
+
+
+@pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+def test_non_finite_parts_raise_value_error(part):
+    # int() raised OverflowError on an infinity.
+    with pytest.raises(ValueError, match="parts must be integers"):
+        as_partition([part])
+    with pytest.raises(ValueError, match="counts must be integers"):
+        _count(part)
+
+
 def test_block_splits_enumerate_each_sub_multiset_once():
     for rest in partitions_up_to(8):
         splits = _block_splits(rest)

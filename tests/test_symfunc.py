@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -836,6 +837,17 @@ def test_from_serializable_rejects_non_decimal_strings(key, text):
     blob["terms"][0][key] = "10"
     want = Fraction(10, 2) if key == "num" else Fraction(-3, 10)
     assert from_serializable(blob) == p(1) * want
+
+
+@pytest.mark.parametrize("part", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_parts_raise_value_error(part):
+    # json reads these names as floats, and int() raised OverflowError on
+    # an infinity.
+    text = f'{{"basis": "h", "terms": [{{"partition": [{part}], "num": "1", "den": "1"}}]}}'
+    with pytest.raises(ValueError, match="parts must be integers"):
+        from_serializable(json.loads(text))
+    with pytest.raises(ValueError, match="parts must be integers"):
+        from_basis("h", [float(part)])
 
 
 @pytest.mark.parametrize(
