@@ -18,7 +18,8 @@ with q_c = sum_{k|c} mu(c/k) p_k. By the exponential formula the sum
 over m of fsurinv(p_c^m) x^m / m! is exp((q_c / c) log(1 + c x)) =
 (1 + c x)^(q_c / c), so fsurinv(p_c^m) is the falling-factorial product
 of (q_c - i c) over i < m, and fsurinv(p_rho) is the product of these
-over the distinct parts c of rho.
+over the distinct parts c of rho. ``_pleth_coeff`` takes one such factor
+per new last part r of rho: D_r, or (q_r - i r) when i copies precede r.
 
 A transform sums its input's int numerators along the columns. The full
 transform is ``fsur(f)`` times the complete homogeneous series. The
@@ -47,6 +48,7 @@ from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
     _PART_ENTRIES,
     _count,
+    _integers,
     _part_id,
     as_partition,
     conjugate,
@@ -55,6 +57,7 @@ from .partitions import (
     hat,
     intersect,
     mobius,
+    multiset_union,
     partition_from_composition,
     partitions_of,
     partitions_up_to,
@@ -84,34 +87,21 @@ VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
 
 
 @lru_cache(maxsize=None)
-def _part_step(series_name: str, r: int, i: int) -> tuple:
-    """(steps, shift): the factor one more part r brings to a column.
-
-    The column of rho is the column of rho[:-1] multiplied by the
-    operator shift + sum over the steps (k, weight, slope) of p_k (weight
-    + slope d/dp_k), rho[-1] = r its smallest part and i the copies of r
-    before it. For Hplus every step is (k, 1, k), k | r, and the shift is
-    0: ``D_r`` of the module docstring. For Cadogan the steps are
-    (k, mu(r/k), 0), the nonzero terms of q_r, and the shift is -i r: the
-    factor (q_r - i r).
-    """
-    if series_name == "Hplus":
-        return tuple((k, 1, k) for k in divisors(r)), 0
-    steps = tuple((k, mobius(r // k), 0) for k in divisors(r) if mobius(r // k))
-    return steps, -i * r
-
-
-@lru_cache(maxsize=None)
 def _pleth_coeff(series_name: str, rho) -> tuple:
     """The column of rho: the nonzero (id of nu, [p_nu] A(p_rho)) pairs.
 
     A is the Hall adjoint of plethysm by the named standard series g, so
     the column is the p expansion of fsur(p_rho) for Hplus and of
     fsurinv(p_rho) for Cadogan, in exact ints; [p_nu] A(p_rho) is
-    <p_nu[g], p_rho> / z_nu. It is one pass over the column of rho[:-1]:
-    each entry (nu, c) adds weight * c to nu with one more part k for
-    each step of ``_part_step``, and (shift + sum of slope * m_k(nu)) * c
-    to nu itself. Hplus and Cadogan are the series with a one-part step;
+    <p_nu[g], p_rho> / z_nu. It is the column of rho[:-1] times the
+    operator shift + sum over the steps (k, weight, slope) of p_k (weight
+    + slope d/dp_k), r = rho[-1] the smallest part: for Hplus the steps
+    (k, 1, k), k | r, and shift 0 (``D_r`` of the module docstring); for
+    Cadogan the nonzero terms (k, mu(r/k), 0) of q_r and shift -i r, i the
+    earlier copies of r (the factor q_r - i r). So each entry (nu, c) of
+    the shorter column adds weight * c to nu with one more part k for
+    each step, and (shift + sum of slope * m_k(nu)) * c to nu itself.
+    Hplus and Cadogan are the series with a one-part step;
     any other raises ``ValueError``. Each nu is keyed by its partition id
     (``partitions._PART_ENTRIES``).
     """
@@ -119,7 +109,12 @@ def _pleth_coeff(series_name: str, rho) -> tuple:
         raise ValueError(f"series {series_name!r} has no one-part step")
     if not rho:
         return ((_part_id(()), 1),)
-    steps, shift = _part_step(series_name, rho[-1], rho.count(rho[-1]) - 1)
+    r = rho[-1]
+    if series_name == "Hplus":
+        steps, shift = [(k, 1, k) for k in divisors(r)], 0
+    else:
+        steps = [(k, mobius(r // k), 0) for k in divisors(r) if mobius(r // k)]
+        shift = -(rho.count(r) - 1) * r
     column: dict = {}
     get = column.get
     for nu, c in _pleth_coeff(series_name, rho[:-1]):
@@ -140,11 +135,7 @@ def _insert_part(nu: int, k: int) -> int:
 
     A column's step multiplies each entry of the shorter column by p_k.
     """
-    lam = _PART_ENTRIES[nu]
-    i = 0
-    while i < len(lam) and lam[i] >= k:
-        i += 1
-    return _part_id(lam[:i] + (k,) + lam[i:])
+    return _part_id(multiset_union(_PART_ENTRIES[nu], (k,)))
 
 
 def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
@@ -154,14 +145,11 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     ints, built one part at a time (``D_r`` for fsur, a falling-factorial
     factor for fsurinv; see the module docstring). So with f's int
     numerators over its denominator D the result's numerators are the
-    int sums along the columns of f's terms, over the same D; totals that
-    cancel to 0 are dropped as their ids become partitions.
+    int sums along the columns of f's terms, over the same D.
     """
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
-    totals, denominator = _int_column_sum(f, partial(_pleth_coeff, series_name))
-    nums = {_PART_ENTRIES[nu]: total for nu, total in totals.items() if total}
-    return SymFunc._build(nums, denominator)
+    return SymFunc._build(*_int_column_sum(f, partial(_pleth_coeff, series_name)))
 
 
 def fsur(f: SymFunc) -> SymFunc:
@@ -355,7 +343,7 @@ def fsurinv_e_words(alpha) -> SymFunc:
     indexed by the multiplicity partition of its Lyndon factorization,
     signed by size minus number of factors.
     """
-    alpha = tuple(map(_count, alpha))
+    alpha = tuple(map(_count, _integers(alpha)))
     total = sum(alpha)
     collected: Counter = Counter()
     for w in _words_with_content(alpha):

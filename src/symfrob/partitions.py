@@ -13,16 +13,19 @@ from math import comb, factorial
 
 
 def _integers(parts) -> tuple:
-    """The entries of *parts* as ints; a non-integral entry, an infinity,
-    a NaN or a bool (which JSON and Python read as 0 or 1) raises
-    ValueError. Entries that are all exact ints, the common case, return
-    as they are."""
-    raw = tuple(parts)
+    """The entries of *parts* as ints; parts that are not iterable, an
+    entry that is not integral (None, a list, 2.5), an infinity, a NaN or
+    a bool (which JSON and Python read as 0 or 1) raises ValueError.
+    Entries that are all exact ints, the common case, return as they are."""
+    try:
+        raw = tuple(parts)
+    except TypeError:
+        raise ValueError(f"parts must be integers, got {parts!r}") from None
     if {*map(type, raw)} <= {int}:
         return raw
     try:
         out = tuple(map(int, raw))
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out != raw or bool in map(type, raw):
         raise ValueError(f"parts must be integers, got {raw}")
@@ -36,7 +39,7 @@ def _count(value, least=0) -> int:
         return value
     try:
         (count,) = _integers((value,))
-    except (TypeError, ValueError):
+    except ValueError:
         count = None
     if count is None or count < least:
         raise ValueError(f"counts must be integers >= {least}, got {value!r}")
@@ -63,7 +66,7 @@ def as_partition(parts) -> tuple:
 
 def partition_from_composition(parts) -> tuple:
     """Sort a sequence of nonnegative integers into a partition, dropping zeros."""
-    return tuple(sorted((p for p in map(_count, parts) if p), reverse=True))
+    return tuple(sorted((p for p in map(_count, _integers(parts)) if p), reverse=True))
 
 
 def conjugate(lam) -> tuple:

@@ -88,7 +88,7 @@ class SymFunc:
             if not isinstance(c, (int, Fraction)):
                 try:
                     (c,) = _integers((c,))
-                except (TypeError, ValueError, OverflowError):
+                except ValueError:
                     raise ValueError(
                         f"coefficients must be ints or Fractions, got {c!r}"
                     ) from None
@@ -502,17 +502,17 @@ def _basis_element(basis: str, lam) -> SymFunc:
 def _int_column_sum(f: SymFunc, column) -> tuple:
     """Sum f's numerators along memoized integer columns: (totals, D).
 
-    f is the sum of (a_nu / D) p_nu with int a_nu. totals[mu] is the int
-    sum of a_nu * c over the terms nu of f and the pairs (mu, c) of
-    ``column(nu)``, mu a partition id. Totals that cancel to 0 are kept;
-    the callers drop them as they turn each id back into its partition.
+    f is the sum of (a_nu / D) p_nu with int a_nu. totals maps each
+    partition mu to the nonzero int sum of a_nu * c over the terms nu of
+    f and the pairs (id of mu, c) of ``column(nu)``; totals that cancel
+    to 0 are dropped. Ids stay inside the column kernels.
     """
     totals: dict = {}
     get = totals.get
     for nu, a in f._nums.items():
         for mu, value in column(nu):
             totals[mu] = get(mu, 0) + a * value
-    return totals, f._den
+    return {_PART_ENTRIES[mu]: total for mu, total in totals.items() if total}, f._den
 
 
 def to_basis(f: SymFunc, basis: str) -> dict:
@@ -545,11 +545,7 @@ def to_basis(f: SymFunc, basis: str) -> dict:
     else:
         raise ValueError(f"unknown basis {basis!r}")
     totals, denominator = _int_column_sum(f, column)
-    return {
-        _PART_ENTRIES[mu]: Fraction(total, denominator)
-        for mu, total in totals.items()
-        if total
-    }
+    return {mu: Fraction(total, denominator) for mu, total in totals.items()}
 
 
 def to_basis_int(f: SymFunc, basis: str) -> dict:
@@ -612,9 +608,11 @@ def omega(f: SymFunc) -> SymFunc:
 def skew(g: SymFunc, f: SymFunc) -> SymFunc:
     """Apply the skewing operator of g to f (the Hall adjoint of multiplying by g).
 
-    In the power sum representation each p_k acts as k d/dp_k, so a term
-    p_mu of g removes the multiset mu from terms of f with a falling
-    factorial weight on the multiplicities.
+    On power sums p_mu^perp p_nu = (z_nu / z_(nu-mu)) p_(nu-mu) when the
+    multiset mu lies inside nu, and 0 otherwise: <p_mu^perp p_nu, p_rho>
+    = <p_nu, p_mu p_rho> = z_nu delta(nu = mu + rho), and p_rho pairs
+    with itself to z_rho. So each pair of terms adds one integer z ratio
+    (``z_value``).
     """
     if f.cutoff is not None:
         raise ValueError("skew acts on exact symmetric functions")
@@ -623,26 +621,14 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
             f"series cutoff {g.cutoff} below skewed degree {f.degree}"
         )
     out = {}
-    fdeg = f.degree
     f_terms = f._nums.items()
     for mu, b in g._nums.items():
-        if sum(mu) > fdeg:
-            continue
-        mu_mult = multiplicities(mu)
         for nu, a in f_terms:
-            nu_mult = multiplicities(nu)
-            weight = 1
-            for k, m in mu_mult.items():
-                avail = nu_mult.get(k, 0)
-                if avail < m:
-                    weight = 0
-                    break
-                for step in range(m):
-                    weight *= k * (avail - step)
-            if not weight:
+            try:
+                rho = multiset_diff(nu, mu)
+            except ValueError:
                 continue
-            key = multiset_diff(nu, mu)
-            out[key] = out.get(key, 0) + a * b * weight
+            out[rho] = out.get(rho, 0) + a * b * (z_value(nu) // z_value(rho))
     return SymFunc._build(out, g._den * f._den)
 
 
@@ -728,9 +714,12 @@ def standard_series(name: str, cutoff: int) -> SymFunc:
 
 
 def leading_term(f: SymFunc, basis: str = "s"):
-    """(partition, coefficient) of the canonical leading term of the top degree."""
+    """(partition, coefficient) of the canonical leading term of the top
+    degree; f must be exact and nonzero, as a series' top follows its cutoff."""
     if f.is_zero:
         raise ValueError("the zero element has no leading term")
+    if f.cutoff is not None:
+        raise ValueError("a truncated series has no leading term")
     top = to_basis(f.homogeneous_component(f.degree), basis)
     lam = min(top, key=lambda t: tuple(-p for p in t))
     return lam, top[lam]

@@ -3,9 +3,10 @@ module-level helper is used somewhere in the package, one function calls
 ``partitions._block_splits``, every lru_cache decorates a module-level
 function, no module uses an assert statement, only symfunc.py touches a
 SymFunc's numerator form, only SymFunc._build builds one without
-__init__, the CLI loads no standard library module beyond what its own
-imports need, every symfrob name the benchmark binds exists, and every
-source line the benchmark self-test patches occurs once."""
+__init__, only the integer column kernels name partition ids, the CLI
+loads no standard library module beyond what its own imports need,
+every symfrob name the benchmark binds exists, and every source line the
+benchmark self-test patches occurs once."""
 
 import ast
 import importlib
@@ -155,6 +156,66 @@ def test_caller_is_reported():
         ("a.py", "one"),
         ("b.py", "<module>"),
         ("b.py", "C"),
+    ]
+
+
+ID_NAMES = ("_PART_ENTRIES", "_part_id")
+
+
+def id_readers(sources: dict) -> list:
+    """(module, definition) of each top-level function or class, or
+    "<module>" for any other top-level statement, that names the partition
+    id table (``_PART_ENTRIES`` or ``_part_id``) by a bare name or as an
+    attribute. Import statements do not count."""
+    found = set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            if any(
+                getattr(node, "id", None) in ID_NAMES or getattr(node, "attr", None) in ID_NAMES
+                for node in ast.walk(statement)
+            ):
+                found.add((module, getattr(statement, "name", "<module>")))
+    return sorted(found)
+
+
+def test_partition_ids_stay_in_the_column_kernels():
+    # The integer columns key their memos by partition id; every other
+    # function reads partitions, so the ids never reach a result and
+    # clear_caches() may empty the table with the memos.
+    sources = {
+        path.name: path.read_text() for path in PACKAGE.glob("*.py") if path.name != "partitions.py"
+    }
+    assert id_readers(sources) == [
+        ("frobenius.py", "_insert_part"),
+        ("frobenius.py", "_pleth_coeff"),
+        ("symfunc.py", "_int_column_sum"),
+        ("symfunc.py", "_p_in_h"),
+        ("symfunc.py", "_p_in_m"),
+    ]
+
+
+def test_id_reader_is_reported():
+    source = (
+        "from partitions import _PART_ENTRIES, _part_id\n"
+        "import partitions\n"
+        "\n"
+        "def column(nu):\n"
+        "    return _part_id(nu)\n"
+        "\n"
+        "def merely_reads(pid):\n"
+        "    return partitions._PART_ENTRIES[pid]\n"
+        "\n"
+        "def clean(lam):\n"
+        "    return lam\n"
+        "\n"
+        "EMPTY = _part_id(())\n"
+    )
+    assert id_readers({"a.py": source}) == [
+        ("a.py", "<module>"),
+        ("a.py", "column"),
+        ("a.py", "merely_reads"),
     ]
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import symfrob
 from symfrob.frobenius import coeff, fsur_h_direct
 from symfrob.partitions import (
     _block_splits,
@@ -55,6 +56,35 @@ def test_count_rejects_booleans():
     for flag in (True, False):
         with pytest.raises(ValueError, match="counts must be integers"):
             _count(flag)
+
+
+def _serialized(part):
+    return {"basis": "s", "terms": [{"partition": part, "num": "1", "den": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("as_partition", ([None],)),
+        ("as_partition", ([[1]],)),
+        ("as_partition", (5,)),
+        ("from_basis", ("s", None)),
+        ("coeff", ("r", [None], (1,))),
+        ("witness_search", ([None], 1)),
+        ("character_value", ([None], (1,))),
+        ("stable_pad", (5, 3)),
+        ("tilde_h", (5,)),
+        ("durfee_criterion", (5, 1)),
+        ("fsur_h_direct", (5,)),
+        ("partition_from_composition", (5,)),
+        ("fsurinv_e_words", (5,)),
+        *(("from_serializable", (_serialized(part),)) for part in (None, 5, [None], [[1]])),
+    ],
+)
+def test_parts_that_are_not_integers_raise_value_error(name, args):
+    # A part int() cannot take, or parts that are not a sequence at all.
+    with pytest.raises(ValueError, match="parts must be integers"):
+        getattr(symfrob, name)(*args)
 
 
 def test_partition_from_composition():

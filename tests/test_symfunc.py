@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -403,6 +404,18 @@ def test_skew_adjointness():
         assert hall(f * g, k) == hall(g, skew(f, k))
 
 
+def test_skew_is_adjoint_to_multiplication_on_every_power_sum_pair():
+    # Every p_mu of degree up to |nu|, where test_skew_adjointness reaches
+    # degree 2: <p_mu p_rho, p_nu> = <p_rho, p_mu^perp p_nu> for every rho.
+    for nu in partitions_up_to(7):
+        for mu in partitions_up_to(sum(nu)):
+            skewed = skew(p(*mu), p(*nu))
+            for rho in partitions_of(sum(nu) - sum(mu)):
+                assert hall(p(*mu) * p(*rho), p(*nu)) == hall(p(*rho), skewed), (mu, nu, rho)
+            if Counter(mu) - Counter(nu):
+                assert skewed.is_zero, (mu, nu)
+
+
 def test_skew_precision():
     with pytest.raises(PrecisionError):
         skew(standard_series("H", 1), s(2))
@@ -577,6 +590,11 @@ def test_leading_term():
     assert leading_term(h(2, 2), basis="h") == ((2, 2), Fraction(1))
     with pytest.raises(ValueError):
         leading_term(SymFunc.zero())
+    # A series' top stored degree is its cutoff, so the answer would follow
+    # the cutoff: H through 3 would lead with h_3, through 5 with h_5.
+    for series in (SymFunc.one(cutoff=2), standard_series("H", 3)):
+        with pytest.raises(ValueError):
+            leading_term(series)
 
 
 # -- characters -----------------------------------------------------------------------
