@@ -208,29 +208,23 @@ def evaluate_expr(node) -> SymFunc:
 
 
 # -- verification suites -----------------------------------------------------
+#
+# Each suite is a generator over --maxdeg: it runs its checks in order and
+# yields (name, result) for each one as it runs, the result a bool.
 
 
 def _suite_kronecker(maxdeg):
-    checks = []
     parts = partitions_up_to(maxdeg)
     for lam in parts:
         for mu in parts:
             if lam > mu:
                 continue
-
-            def check(lam=lam, mu=mu):
-                left = frob.frobenius_series(
-                    from_basis("s", lam) * from_basis("s", mu), maxdeg
-                )
-                right = kronecker(
-                    frob.frobenius_series(from_basis("s", lam), maxdeg),
-                    frob.frobenius_series(from_basis("s", mu), maxdeg),
-                )
-                return left == right
-
-            name = f"product rule {format_partition(lam)} {format_partition(mu)}"
-            checks.append((name, check))
-    return checks
+            s_lam, s_mu = from_basis("s", lam), from_basis("s", mu)
+            left = frob.frobenius_series(s_lam * s_mu, maxdeg)
+            right = kronecker(
+                frob.frobenius_series(s_lam, maxdeg), frob.frobenius_series(s_mu, maxdeg)
+            )
+            yield f"product rule {format_partition(lam)} {format_partition(mu)}", left == right
 
 
 # The paper's closed forms for fsur of a basis element, one row per basis.
@@ -242,32 +236,13 @@ _DIRECT_FORMULAS = (
 
 
 def _suite_routes(maxdeg):
-    checks = []
     for lam in partitions_up_to(maxdeg):
-        checks.append(
-            (
-                f"expansion route s{format_partition(lam)}",
-                lambda lam=lam: frob.fsur(from_basis("s", lam))
-                == frob.fsur_expansion(from_basis("s", lam)),
-            )
-        )
+        label, s_lam = format_partition(lam), from_basis("s", lam)
+        yield f"expansion route s{label}", frob.fsur(s_lam) == frob.fsur_expansion(s_lam)
         for basis, direct in _DIRECT_FORMULAS:
-            checks.append(
-                (
-                    f"{basis} formula {format_partition(lam)}",
-                    lambda basis=basis, direct=direct, lam=lam: (
-                        frob.fsur(from_basis(basis, lam)) == direct(lam)
-                    ),
-                )
-            )
+            yield f"{basis} formula {label}", frob.fsur(from_basis(basis, lam)) == direct(lam)
         for basis in BASES:
-            checks.append(
-                (
-                    f"inverse round-trip {basis}{format_partition(lam)}",
-                    lambda basis=basis, lam=lam: _roundtrip(basis, lam),
-                )
-            )
-    return checks
+            yield f"inverse round-trip {basis}{label}", _roundtrip(basis, lam)
 
 
 def _roundtrip(basis, lam):
@@ -279,62 +254,42 @@ def _roundtrip(basis, lam):
 
 
 def _suite_vanishing(maxdeg):
-    checks = []
     for kind, coeff_kind in (("r-bound", "r"), ("t-bound", "t"), ("a-bound", "a")):
-
-        def check(kind=kind, coeff_kind=coeff_kind):
-            index, matrix = frob.coeff_table(coeff_kind, maxdeg)
-            return all(
-                frob.vanishing_check(kind, lam, mu)
-                for mu, row in zip(index, matrix)
-                for lam, value in zip(index, row)
-                if value > 0
-            )
-
-        checks.append((f"{kind} sweep through degree {maxdeg}", check))
-    return checks
+        index, matrix = frob.coeff_table(coeff_kind, maxdeg)
+        yield f"{kind} sweep through degree {maxdeg}", all(
+            frob.vanishing_check(kind, lam, mu)
+            for mu, row in zip(index, matrix)
+            for lam, value in zip(index, row)
+            if value > 0
+        )
 
 
 def _suite_durfee(maxdeg):
-    checks = []
     for k in (1, 2):
-
-        def check(k=k):
-            for n in range(maxdeg + 1):
-                for mu in partitions_of(n):
-                    found = frob.witness_search(mu, k) is not None
-                    if found != frob.durfee_criterion(mu, k):
-                        return False
-            return True
-
-        checks.append((f"durfee criterion k={k} through degree {maxdeg}", check))
-    return checks
+        yield f"durfee criterion k={k} through degree {maxdeg}", all(
+            (frob.witness_search(mu, k) is not None) == frob.durfee_criterion(mu, k)
+            for n in range(maxdeg + 1)
+            for mu in partitions_of(n)
+        )
 
 
 def _suite_genfunc(maxdeg):
     jobs = [(1, max(1, maxdeg), "reciprocal"), (1, max(1, maxdeg), "product")]
     if maxdeg >= 2:
         jobs.append((2, min(maxdeg, 4), "reciprocal"))
-    return [
-        (
+    for num_vars, bound, which in jobs:
+        yield (
             f"{which} identity in {num_vars} variables through degree {bound}",
-            lambda n=num_vars, b=bound, w=which: frob.genfunc_identity_check(n, b, w),
+            frob.genfunc_identity_check(num_vars, bound, which),
         )
-        for num_vars, bound, which in jobs
-    ]
 
 
 def _suite_oracle(maxdeg):
-    checks = []
     for basis in BASES:
         for lam in partitions_up_to(maxdeg):
-
-            def check(basis=basis, lam=lam):
-                f = from_basis(basis, lam)
-                return frobenius_via_roots(f, maxdeg) == frob.frobenius_series(f, maxdeg)
-
-            checks.append((f"roots route {basis}{format_partition(lam)}", check))
-    return checks
+            f = from_basis(basis, lam)
+            ok = frobenius_via_roots(f, maxdeg) == frob.frobenius_series(f, maxdeg)
+            yield f"roots route {basis}{format_partition(lam)}", ok
 
 
 SUITES = {
@@ -395,9 +350,12 @@ def _cmd_table(args):
 
 
 def _cmd_verify(args):
-    checks = SUITES[args.suite](args.maxdeg)
-    failures = [name for name, check in checks if not check()]
-    print(f"suite {args.suite}: {len(checks)} checks, {len(failures)} failures")
+    checks, failures = 0, []
+    for name, ok in SUITES[args.suite](args.maxdeg):
+        checks += 1
+        if not ok:
+            failures.append(name)
+    print(f"suite {args.suite}: {checks} checks, {len(failures)} failures")
     for name in failures:
         print(f"FAIL {name}", file=sys.stderr)
     if not checks:

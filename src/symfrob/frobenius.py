@@ -219,26 +219,25 @@ def _assignment_sum(lam, pairs) -> SymFunc:
 
     It is the sum over the multiplicity assignments M with sum_v M(v) v =
     lam of the product of the terms ``_series_term(name, M(v))`` over the
-    pairs with M(v) > 0. The recursion fixes the multiplicity of one
-    vector at a time, those of largest sum first, and counts each multiset
-    of (name, M(v)) factors; each distinct product is built once. The
-    zero lam has one assignment, the empty one, so its sum is 1.
+    pairs with M(v) > 0. Each level of the recursion picks the next pair
+    with M(v) > 0, those of largest sum first, and fixes M(v), so the
+    depth is the number of factors, at most |lam|. It counts each
+    multiset of (name, M(v)) factors; each distinct product is built once.
+    The zero lam has one assignment, the empty one, so its sum is 1.
     """
     pairs = sorted(pairs, key=lambda nv: -sum(nv[1]))
     found: Counter = Counter()
 
-    def rec(idx, remaining, factors):
+    def rec(start, remaining, factors):
         if not any(remaining):
             found[tuple(sorted(factors))] += 1
             return
-        if idx == len(pairs):
-            return
-        name, vec = pairs[idx]
-        rec(idx + 1, remaining, factors)
-        most = min(left // step for left, step in zip(remaining, vec) if step)
-        for count in range(1, most + 1):
-            rest = tuple(left - count * step for left, step in zip(remaining, vec))
-            rec(idx + 1, rest, factors + ((name, count),))
+        for idx in range(start, len(pairs)):
+            name, vec = pairs[idx]
+            most = min(left // step for left, step in zip(remaining, vec) if step)
+            for count in range(1, most + 1):
+                rest = tuple(left - count * step for left, step in zip(remaining, vec))
+                rec(idx + 1, rest, factors + ((name, count),))
 
     rec(0, lam, ())
     return _linear_combination(
@@ -419,7 +418,8 @@ def _column(kind: str, lam):
     t_lam^nu over nu with nu/mu a horizontal strip; b: skewed by Emin,
     then fsurinv, which inverts the a map because H * Emin = 1, and sums
     (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
-    strip. The read-only mapping is shared by every caller.
+    strip. The read-only mapping is shared by every caller; kind is one
+    of t, u, a and b, checked by ``_coeff``.
     """
     if kind in ("t", "u"):
         transform = fsur if kind == "t" else fsurinv
@@ -429,13 +429,11 @@ def _column(kind: str, lam):
         for nu, value in _column("t", lam).items():
             for mu in _horizontal_strips(nu):
                 column[mu] = column.get(mu, 0) + value
-    elif kind == "b":
+    else:
         for kappa in map(conjugate, _horizontal_strips(conjugate(lam))):
             sign = (-1) ** (sum(lam) - sum(kappa))
             for mu, value in _column("u", kappa).items():
                 column[mu] = column.get(mu, 0) + sign * value
-    else:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
     return MappingProxyType({mu: value for mu, value in column.items() if value})
 
 
@@ -451,10 +449,13 @@ def coeff(kind: str, lam, mu) -> int:
 
 
 def _coeff(kind: str, lam: tuple, mu: tuple) -> int:
-    """``coeff`` on partitions already validated as canonical tuples."""
+    """``coeff`` on partitions already validated as canonical tuples; an
+    unknown kind, hashable or not, raises ValueError before any memo."""
     if kind == "r":
         column = _column("t", lam)
         return sum(column.get(nu, 0) for nu in _horizontal_strips(mu))
+    if kind not in COEFF_KINDS:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
     return _column(kind, lam).get(mu, 0)
 
 

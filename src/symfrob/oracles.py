@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .partitions import (
     _count,
+    _z_value,
     as_partition,
     divisors,
     multiplicities,
     partitions_of,
-    z_value,
 )
 from .symfunc import SymFunc
 
@@ -66,5 +66,5 @@ def frobenius_via_roots(f: SymFunc, cutoff: int) -> SymFunc:
         for mu in partitions_of(n):
             value = eval_at_unity(f, mu)
             if value:
-                terms[mu] = value / z_value(mu)
+                terms[mu] = value / _z_value(mu)
     return SymFunc(terms, cutoff)

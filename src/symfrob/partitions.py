@@ -71,7 +71,7 @@ def partition_from_composition(parts) -> tuple:
 
 def conjugate(lam) -> tuple:
     """Transpose of the Young diagram."""
-    lam = tuple(lam)
+    lam = as_partition(lam)
     if not lam:
         return ()
     out = []
@@ -82,18 +82,18 @@ def conjugate(lam) -> tuple:
 
 def intersect(lam, mu) -> tuple:
     """Componentwise minimum (intersection of Young diagrams)."""
-    return tuple(min(a, b) for a, b in zip(lam, mu))
+    return tuple(min(a, b) for a, b in zip(as_partition(lam), as_partition(mu)))
 
 
 def is_subpartition(lam, mu) -> bool:
     """True when the diagram of lam fits inside the diagram of mu."""
-    return intersect(lam, mu) == tuple(lam)
+    return intersect(lam, mu) == as_partition(lam)
 
 
 def durfee(mu) -> int:
     """Side of the largest square fitting in the diagram: max d with mu_d >= d."""
     d = 0
-    for i, p in enumerate(mu, start=1):
+    for i, p in enumerate(as_partition(mu), start=1):
         if p >= i:
             d = i
     return d
@@ -107,9 +107,14 @@ def multiplicities(lam) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def z_value(lam) -> int:
     """Centralizer order: product over parts i of i^m_i * m_i!."""
+    return _z_value(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _z_value(lam) -> int:
+    """``z_value`` of a partition tuple, memoized for the kernels."""
     z = 1
     for i, m in multiplicities(lam).items():
         z *= i**m * factorial(m)
@@ -208,11 +213,13 @@ def stable_pad(mu, n: int) -> tuple:
 
 def hat(mu) -> tuple:
     """Drop the first (largest) part."""
-    return tuple(mu)[1:]
+    return as_partition(mu)[1:]
 
 
 def parse_partition(text: str) -> tuple:
     """Parse "[3,2,1]" (brackets optional, "[]" or "" is the empty partition)."""
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse partition from {text!r}")
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
@@ -228,7 +235,7 @@ def parse_partition(text: str) -> tuple:
 
 def format_partition(lam) -> str:
     """Canonical bracketed form, "[]" for the empty partition."""
-    return "[" + ",".join(str(p) for p in lam) + "]"
+    return "[" + ",".join(str(p) for p in as_partition(lam)) + "]"
 
 
 # Multiset helpers on partition tuples (used by the symmetric function core).

@@ -24,6 +24,7 @@ read, and the Schur conversion still sums Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
@@ -35,6 +36,7 @@ from .partitions import (
     _decimal,
     _integers,
     _part_id,
+    _z_value,
     as_partition,
     canonical_key,
     divisors,
@@ -43,7 +45,6 @@ from .partitions import (
     multiset_diff,
     multiset_union,
     partitions_of,
-    z_value,
 )
 
 BASES = ("m", "e", "h", "p", "s")
@@ -64,11 +65,11 @@ class IntegralityError(InternalCheckError):
 class SymFunc:
     """A symmetric function in the internal power sum representation.
 
-    ``terms`` maps partition tuples to the coefficient of the
-    corresponding power sum product, given as an int, a Fraction or an
-    integral float (any other value raises ValueError). ``cutoff=None``
-    marks an exact finite element; an integer cutoff marks a truncated
-    series.
+    ``terms``, a mapping or None (any other value raises ValueError),
+    maps partition tuples to the coefficient of the corresponding power
+    sum product, given as an int, a Fraction or an integral float (any
+    other value raises ValueError). ``cutoff=None`` marks an exact finite
+    element; an integer cutoff marks a truncated series.
 
     The element is the sum of (_nums[nu] / _den) p_nu: every value of
     ``_nums`` is a nonzero int, ``_den`` > 0, gcd(_den, *_nums.values())
@@ -82,8 +83,12 @@ class SymFunc:
 
     def __init__(self, terms=None, cutoff=None):
         cutoff = None if cutoff is None else _count(cutoff)
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise ValueError(f"terms must be a mapping, got {terms!r}")
         out = {}
-        for lam, c in (terms or {}).items():
+        for lam, c in terms.items():
             lam = as_partition(lam)
             if not isinstance(c, (int, Fraction)):
                 try:
@@ -385,7 +390,7 @@ def _s_scaled_in_p(lam) -> tuple:
     for mu in partitions_of(n):
         chi = _border_strip_sum(mask, mu)
         if chi:
-            out.append((mu, chi * (size // z_value(mu))))
+            out.append((mu, chi * (size // _z_value(mu))))
     return tuple(out)
 
 
@@ -489,7 +494,7 @@ def _basis_element(basis: str, lam) -> SymFunc:
         if len(lam) > 1:
             return _basis_element("h", lam[:1]) * _basis_element("h", lam[1:])
         size = factorial(sum(lam))
-        row = {rho: size // z_value(rho) for rho in partitions_of(sum(lam))}
+        row = {rho: size // _z_value(rho) for rho in partitions_of(sum(lam))}
         return SymFunc._build(row, size)
     if basis == "s":
         pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
@@ -592,7 +597,7 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     for lam, a in small.items():
         b = large.get(lam)
         if b is not None and (cutoff is None or sum(lam) <= cutoff):
-            out[lam] = z_value(lam) * a * b
+            out[lam] = _z_value(lam) * a * b
     return SymFunc._build(out, f._den * g._den, cutoff)
 
 
@@ -628,7 +633,7 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
                 rho = multiset_diff(nu, mu)
             except ValueError:
                 continue
-            out[rho] = out.get(rho, 0) + a * b * (z_value(nu) // z_value(rho))
+            out[rho] = out.get(rho, 0) + a * b * (_z_value(nu) // _z_value(rho))
     return SymFunc._build(out, g._den * f._den)
 
 
@@ -696,20 +701,26 @@ def _series_term(name: str, n: int) -> SymFunc:
     raise ValueError(f"unknown series {name!r}")
 
 
-@lru_cache(maxsize=None)
 def standard_series(name: str, cutoff: int) -> SymFunc:
     """The named generating series, exact through the cutoff.
 
     H (all complete homogeneous), Hplus (H - 1), Hgeq2 (H - 1 - h_1),
     E, Emin (alternating elementary), Lsum (sum of the Lyndon symmetric
     functions) and Cadogan (the plethystic inverse of Hplus); any other
-    name raises ValueError. The series is the sum of its terms
-    ``_series_term(name, n)`` from its start degree through the cutoff.
-    The single Lyndon function of one degree is ``lyndon_sf``.
+    name, a str or not, raises ValueError. The series is the sum of its
+    terms ``_series_term(name, n)`` from its start degree through the
+    cutoff. The single Lyndon function of one degree is ``lyndon_sf``.
     """
     cutoff = _count(cutoff)
-    # An unknown name starts at degree 0, where _series_term raises.
-    terms = [(1, _series_term(name, n)) for n in range(_SERIES_START.get(name, 0), cutoff + 1)]
+    if not isinstance(name, str) or name not in _SERIES_START:
+        raise ValueError(f"unknown series {name!r}")
+    return _standard_series(name, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _standard_series(name: str, cutoff: int) -> SymFunc:
+    """``standard_series`` on a known name and a validated cutoff."""
+    terms = [(1, _series_term(name, n)) for n in range(_SERIES_START[name], cutoff + 1)]
     return _linear_combination(terms, cutoff)
 
 

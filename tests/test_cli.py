@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symfrob.cli import ExprError, evaluate_expr, format_expr, main, parse_expr
+from symfrob.cli import SUITES, ExprError, evaluate_expr, format_expr, main, parse_expr
 from symfrob.frobenius import fsur
 from symfrob.symfunc import BASES, from_basis, from_serializable, to_serializable
 
@@ -271,6 +271,16 @@ def test_verify_suites_pass(capsys):
         assert "0 failures" in out
 
 
+def test_every_suite_yields_names_and_results():
+    # A suite runs each check as it yields it, so a pair holds the check's
+    # result, not a function that would run it later.
+    for suite, build in SUITES.items():
+        pairs = list(build(2))
+        assert pairs, suite
+        for name, ok in pairs:
+            assert type(name) is str and type(ok) is bool, (suite, name, ok)
+
+
 def test_verify_deterministic(capsys):
     first = run_cli(capsys, "verify", "--suite", "routes", "--maxdeg", "2")
     second = run_cli(capsys, "verify", "--suite", "routes", "--maxdeg", "2")
@@ -283,7 +293,7 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setitem(
         cli_module.SUITES,
         "broken",
-        lambda maxdeg: [("passes", lambda: True), ("fails", lambda: False)],
+        lambda maxdeg: [("passes", True), ("fails", False)],
     )
     code, out, err = run_cli(capsys, "verify", "--suite", "broken", "--maxdeg", "1")
     assert code == 2

@@ -656,6 +656,13 @@ def test_word_sum_is_the_lyndon_multiset_sum():
     assert checked == 116
 
 
+def test_assignment_sum_recurses_once_per_factor():
+    # 1,200 pairs that cannot divide x^1 come before the one that does:
+    # the recursion depth follows the factors, not the pairs.
+    pairs = [("H", (2,))] * 1200 + [("H", (1,))]
+    assert _assignment_sum((1,), pairs) == from_basis("h", (1,))
+
+
 def test_genfunc_rejects_unknown():
     with pytest.raises(ValueError):
         genfunc_identity_check(1, 3, "unknown")

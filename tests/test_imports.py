@@ -3,10 +3,10 @@ module-level helper is used somewhere in the package, one function calls
 ``partitions._block_splits``, every lru_cache decorates a module-level
 function, no module uses an assert statement, only symfunc.py touches a
 SymFunc's numerator form, only SymFunc._build builds one without
-__init__, only the integer column kernels name partition ids, the CLI
-loads no standard library module beyond what its own imports need,
-every symfrob name the benchmark binds exists, and every source line the
-benchmark self-test patches occurs once."""
+__init__, only the integer column kernels name partition ids, no verify
+suite defines a closure, the CLI loads no standard library module beyond
+what its own imports need, every symfrob name the benchmark binds exists,
+and every source line the benchmark self-test patches occurs once."""
 
 import ast
 import importlib
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import symfrob
+from symfrob.cli import SUITES
 
 PACKAGE = Path(symfrob.__file__).parent
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -278,6 +279,45 @@ def test_misplaced_cache_is_reported():
         "d = functools.lru_cache(maxsize=8)(b)\n"
     )
     assert misplaced_caches(source) == [6, 16, 20]
+
+
+def suite_closures(source: str) -> list:
+    """(suite, line) of each lambda or nested function inside a top-level
+    ``_suite_*`` function."""
+    return [
+        (statement.name, node.lineno)
+        for statement in ast.parse(source).body
+        if isinstance(statement, ast.FunctionDef) and statement.name.startswith("_suite_")
+        for node in ast.walk(statement)
+        if node is not statement
+        and isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_suites_define_no_closures():
+    # A verify suite runs each check as it yields its result; a check
+    # wrapped in a closure would only be called once, later, in order.
+    assert all(build.__name__.startswith("_suite_") for build in SUITES.values())
+    assert suite_closures((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_suite_closure_is_reported():
+    source = (
+        "def _suite_a(maxdeg):\n"
+        "    def check(k=maxdeg):\n"
+        "        return k > 0\n"
+        "    yield 'a', check()\n"
+        "\n"
+        "def _suite_b(maxdeg):\n"
+        "    return [('b', lambda: True)]\n"
+        "\n"
+        "def _suite_c(maxdeg):\n"
+        "    yield 'c', all(n >= 0 for n in range(maxdeg))\n"
+        "\n"
+        "def helper():\n"
+        "    return lambda: True\n"
+    )
+    assert suite_closures(source) == [("_suite_a", 2), ("_suite_b", 7)]
 
 
 def test_no_assert_statements():

@@ -79,6 +79,14 @@ def _serialized(part):
         ("partition_from_composition", (5,)),
         ("fsurinv_e_words", (5,)),
         *(("from_serializable", (_serialized(part),)) for part in (None, 5, [None], [[1]])),
+        ("z_value", (5,)),
+        ("conjugate", (5,)),
+        ("durfee", (5,)),
+        ("durfee", ([None],)),
+        ("hat", (5,)),
+        ("intersect", (5, (1,))),
+        ("is_subpartition", (5, (1,))),
+        ("format_partition", (5,)),
     ],
 )
 def test_parts_that_are_not_integers_raise_value_error(name, args):
@@ -150,7 +158,9 @@ def test_durfee_conjugation_invariant():
             assert durfee(mu) == durfee(conjugate(mu))
 
 
-@pytest.mark.parametrize("lam,expected", [((1, 1), 2), ((2,), 2), ((3, 1, 1), 6)])
+@pytest.mark.parametrize(
+    "lam,expected", [((1, 1), 2), ((2,), 2), ((3, 1, 1), 6), ([1, 1], 2)]
+)
 def test_z_examples(lam, expected):
     assert z_value(lam) == expected
 

@@ -531,6 +531,23 @@ def test_series_term_rule_matches_the_series():
             _series_term("Lyndon", n)
 
 
+@pytest.mark.parametrize(
+    "name,args,message",
+    [
+        ("standard_series", ([], 2), "unknown series"),
+        ("coeff", ([], (1,), (1,)), "unknown coefficient kind"),
+        ("coeff_table", ([], 2), "unknown coefficient kind"),
+        ("SymFunc", (5,), "terms must be a mapping"),
+        ("parse_partition", (5,), "cannot parse partition"),
+    ],
+)
+def test_inputs_of_the_wrong_type_raise_value_error(name, args, message):
+    # An unhashable name must be rejected before a memo hashes it, and an
+    # int has neither the items() of a mapping nor the strip() of a str.
+    with pytest.raises(ValueError, match=message):
+        getattr(symfrob, name)(*args)
+
+
 def test_h_series_times_alternating_e_series_is_one():
     # The b family skews by Emin as the inverse of H.
     for cutoff in range(11):
