@@ -51,3 +51,13 @@ for mu in ((2, 2), (3, 3, 3)):
     ok = durfee_criterion(mu, 2)
     witness = witness_search(mu, 2)
     print(f"mu={mu}: square bound holds: {ok}, witness: {witness}")
+
+# The bound is tight at k = 3: (4,4,4,4) has Durfee square 4 = 2^(3-1) and
+# a witness of width 3. The first case past it, (5,5,5,5,5), has none, but
+# that search runs through every lam with lam_1 <= 3 and |lam| <= 75, which
+# takes about a minute, so it is not run here.
+mu = (4, 4, 4, 4)
+witness = witness_search(mu, 3)
+if witness != (3, 3, 3, 3, 3):
+    raise SystemExit(f"expected the witness (3,3,3,3,3) for {mu} at k=3, got {witness}")
+print(f"mu={mu}, k=3: square bound holds: {durfee_criterion(mu, 3)}, witness: {witness}")

@@ -66,6 +66,7 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
+    _check_elements,
     _int_column_sum,
     _linear_combination,
     _s_scaled_in_p,
@@ -80,7 +81,7 @@ from .symfunc import (
 
 COEFF_KINDS = ("r", "t", "u", "a", "b")
 
-VANISHING_KINDS = ("r-bound", "t-bound", "a-bound")
+VANISHING_KINDS = ("r-bound", "t-bound", "a-bound", "length-bound")
 
 
 # -- the adjoint engine ----------------------------------------------------
@@ -147,6 +148,7 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     numerators over its denominator D the result's numerators are the
     int sums along the columns of f's terms, over the same D.
     """
+    _check_elements(f)
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     return SymFunc._build(*_int_column_sum(f, partial(_pleth_coeff, series_name)))
@@ -168,6 +170,7 @@ def fsurinv_iterative(f: SymFunc) -> SymFunc:
     The defect strictly drops degree, so the geometric-style sum is
     finite. Kept as an independent cross-check of fsurinv.
     """
+    _check_elements(f)
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     total = f
@@ -196,6 +199,7 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
     plethysm with h_2 + h_3 + ..., whose minimum degree 2|nu| bounds the
     sum at 2|nu| <= deg f.
     """
+    _check_elements(f)
     if f.cutoff is not None:
         raise ValueError("the transform is defined on exact symmetric functions")
     if f.is_zero:
@@ -420,6 +424,18 @@ def _column(kind: str, lam):
     (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
     strip. The read-only mapping is shared by every caller; kind is one
     of t, u, a and b, checked by ``_coeff``.
+
+    Signs. fsur and fsurinv are the Hall adjoints of plethysm by Hplus and
+    by Cadogan, so t_lam^mu = <s_lam, s_mu[Hplus]>, and Hplus is Schur
+    positive: t >= 0, and so are its strip sums a and r. Let w~ be the
+    involution p_k -> -p_k, (-1)^deg(f) omega(f) on homogeneous f, with
+    w~(f[g]) = f[w~ g] and f[-Y] = (w~ f)[Y]. Cadogan = -w~(Lsum), so
+    s_mu[Cadogan] = (-1)^|mu| w~(s_mu'[Lsum]) and
+    u_lam^mu = (-1)^(|lam|-|mu|) <s_lam', s_mu'[Lsum]>. Lsum, the character
+    of the free Lie algebra, is Schur positive (Reutenauer, ch. 8), and so
+    is a Schur function composed with it (Macdonald I.8): (-1)^(|lam|-|mu|)
+    u >= 0. The vertical-strip sum of b turns into a horizontal one over
+    lam', so (-1)^(|lam|-|mu|) b_lam^mu = <s_lam', H s_mu'[Lsum]> >= 0.
     """
     if kind in ("t", "u"):
         transform = fsur if kind == "t" else fsurinv
@@ -444,6 +460,12 @@ def coeff(kind: str, lam, mu) -> int:
     s_lam (see ``_column``). The r map is the full transform fsur * H, so
     its entry <s_lam, s_mu[H]> sums t_lam^nu over nu with mu/nu a
     horizontal strip. Shares its memo with ``coeff_table``.
+
+    Every family has one sign (derived under ``_column``): r, t and a are
+    multiplicities, never negative, and (-1)^(|lam|-|mu|) u and
+    (-1)^(|lam|-|mu|) b are the multiplicities <s_lam', s_mu'[Lsum]> and
+    <s_lam', H s_mu'[Lsum]>, so u_lam^mu and b_lam^mu have the sign of
+    (-1)^(|lam|-|mu|) or vanish.
     """
     return _coeff(kind, as_partition(lam), as_partition(mu))
 
@@ -503,12 +525,17 @@ def vanishing_check(kind: str, lam, mu) -> bool:
 
     r compares lam against mu with its first part removed; t and a
     compare against mu itself. A False return certifies the coefficient
-    is zero.
+    is zero. The length bound, len(lam) <= |mu|, holds for r and t: with
+    n = |mu|, r_lam^mu is the multiplicity of V_mu in S^lam K^n, which is
+    0 when len(lam) > n, and 0 <= t <= r. It does not hold for a:
+    a_(1)^() = 1.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
     if kind not in VANISHING_KINDS:
         raise ValueError(f"unknown vanishing kind {kind!r}")
+    if kind == "length-bound":
+        return len(lam) <= sum(mu)
     target = hat(mu) if kind == "r-bound" else mu
     overlap = sum(intersect(lam, target))
     return overlap >= 2 * sum(target) - sum(lam)
@@ -519,41 +546,38 @@ def durfee_criterion(mu, k: int) -> bool:
     return durfee(as_partition(mu)) <= 2 ** (_count(k, 1) - 1)
 
 
-def _e_values_at_unity(rho, rmax: int) -> tuple:
-    """e_0..e_rmax evaluated on the cycle-type eigenvalue multiset of rho.
+@lru_cache(maxsize=None)
+def _e_values_at_unity(rho) -> tuple:
+    """e_0..e_|rho| evaluated on the cycle-type eigenvalue multiset of rho.
 
-    The elementary generating polynomial at those eigenvalues is the
-    product over parts p of (1 - (-t)^p), so the values come from one
-    integer polynomial product.
+    The elementary generating polynomial at those |rho| eigenvalues is the
+    product over parts p of (1 - (-t)^p), of degree |rho|, so the values
+    come from one integer polynomial product and e_r is 0 above |rho|.
+    Memoized once per class: every lam evaluated at rho reads this table.
     """
-    coeffs = [0] * (rmax + 1)
-    coeffs[0] = 1
+    coeffs = [1] + [0] * sum(rho)
     for part in rho:
-        if part > rmax:
-            continue
         sign = -((-1) ** part)
-        for d in range(rmax, part - 1, -1):
+        for d in range(len(coeffs) - 1, part - 1, -1):
             coeffs[d] += sign * coeffs[d - part]
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _schur_at_unity(lam, rho) -> int:
+def _schur_at_unity(lam_t, rho) -> int:
     """Schur function of lam evaluated at the eigenvalues attached to rho.
 
-    Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) in elementary
-    values, of side lam_1, taken by Bareiss fraction-free elimination:
-    O(lam_1^3) integer steps, each division exact, a row swap flipping
-    the sign.
+    Takes lam_t = lam'. Dual Jacobi-Trudi determinant det(e_{lam'_i - i +
+    j}) in the elementary values of rho, of side lam_1, taken by Bareiss
+    fraction-free elimination: O(lam_1^3) integer steps, each division
+    exact, a row swap flipping the sign. Not memoized: a search evaluates
+    each (lam, rho) pair once.
     """
-    lam_t = conjugate(lam)
     m = len(lam_t)
     if m == 0:
         return 1
-    rmax = sum(lam)
-    values = _e_values_at_unity(rho, rmax)
+    values = _e_values_at_unity(rho)
     rows = [
-        [values[r] if 0 <= r <= rmax else 0 for r in range(part - i, part - i + m)]
+        [values[r] if 0 <= r < len(values) else 0 for r in range(part - i, part - i + m)]
         for i, part in enumerate(lam_t)
     ]
     sign, previous = 1, 1
@@ -577,7 +601,8 @@ def restriction_coeff_eval(lam, mu) -> int:
 
     Averages the Schur evaluation at permutation eigenvalues against the
     character of mu. Used by the witness search where the transform route
-    would need degree up to k*|mu|.
+    would need degree up to k*|mu|. The route memoizes one e-value table
+    per class rho and one int per (lam, mu) asked, never a (lam, rho) pair.
     """
     return _restriction_coeff_eval(as_partition(lam), as_partition(mu))
 
@@ -586,7 +611,8 @@ def restriction_coeff_eval(lam, mu) -> int:
 def _restriction_coeff_eval(lam, mu) -> int:
     """|mu|! r is the int sum of chi_mu(rho) |mu|!/z_rho s_lam(rho) over rho."""
     size = factorial(sum(mu))
-    total = sum(c * _schur_at_unity(lam, rho) for rho, c in _s_scaled_in_p(mu))
+    lam_t = conjugate(lam)
+    total = sum(c * _schur_at_unity(lam_t, rho) for rho, c in _s_scaled_in_p(mu))
     value, remainder = divmod(total, size)
     if remainder:
         raise IntegralityError(
@@ -609,6 +635,10 @@ def witness_search(mu, k: int):
     bound is loose: in the k=2 sweep of every |mu| <= 12 (254 witnesses,
     18 None) the largest witness is 11/24 of k*|mu|, at mu = (1^12), and
     every witness has |lam| <= |mu| - 1; a None still searches it all.
+    Each lam costs one determinant of side lam_1 <= k per class of
+    S_|mu|, read from that class's memoized e-value table; no (lam, rho)
+    pair is kept. At k = 3 the tight case (4,4,4,4) gives (3,3,3,3,3), and
+    (5,5,5,5,5) reads all 13,429 lam against 589 classes to answer None.
     """
     mu = as_partition(mu)
     k = _count(k, 1)

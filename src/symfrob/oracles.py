@@ -19,7 +19,7 @@ from .partitions import (
     multiplicities,
     partitions_of,
 )
-from .symfunc import SymFunc
+from .symfunc import SymFunc, _check_elements
 
 __all__ = [
     "eval_at_unity",
@@ -40,6 +40,7 @@ def power_value_at_unity(k: int, mu) -> int:
 
 def eval_at_unity(f: SymFunc, mu) -> Fraction:
     """Evaluate the exact symmetric function f at the cycle-type eigenvalues."""
+    _check_elements(f)
     if f.cutoff is not None:
         raise ValueError("evaluation needs an exact symmetric function")
     mu = as_partition(mu)

@@ -282,6 +282,14 @@ class SymFunc:
         return f"<SymFunc {body}{tail}>"
 
 
+def _check_elements(*elements) -> None:
+    """The one type check of the public functions that take an element:
+    anything but a SymFunc raises TypeError, as under the operators."""
+    for f in elements:
+        if not isinstance(f, SymFunc):
+            raise TypeError(f"expected a SymFunc, got {type(f).__name__}")
+
+
 def _linear_combination(pairs, cutoff=None) -> SymFunc:
     """The sum of c * f over the (c, f) pairs, each c an int or a Fraction,
     over one common denominator and reduced once; terms above the cutoff
@@ -530,6 +538,7 @@ def to_basis(f: SymFunc, basis: str) -> dict:
     coefficient of lam is the sum of chi_lam(nu) f_nu over f's terms nu
     of lam's degree, still in Fraction arithmetic.
     """
+    _check_elements(f)
     if basis == "p":
         return dict(f.terms())
     if basis == "s":
@@ -575,6 +584,7 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
     argument's degree. The pairing is the sum of the p-coefficients of
     the Kronecker product, z_lam f_lam g_lam.
     """
+    _check_elements(f, g)
     if f.cutoff is not None and g.cutoff is not None:
         raise ValueError("hall pairing of two truncated series is not defined")
     if f.cutoff is not None:
@@ -589,6 +599,7 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
 
 def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
     """Kronecker product: diagonal on power sums with eigenvalue z_lam."""
+    _check_elements(f, g)
     cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
     out = {}
     small, large = f._nums, g._nums
@@ -606,6 +617,7 @@ def omega(f: SymFunc) -> SymFunc:
 
     A sign flip keeps the numerators reduced over the same denominator.
     """
+    _check_elements(f)
     nums = {nu: -c if (sum(nu) - len(nu)) & 1 else c for nu, c in f._nums.items()}
     return SymFunc._build(nums, f._den, f.cutoff)
 
@@ -619,6 +631,7 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
     with itself to z_rho. So each pair of terms adds one integer z ratio
     (``z_value``).
     """
+    _check_elements(g, f)
     if f.cutoff is not None:
         raise ValueError("skew acts on exact symmetric functions")
     if g.cutoff is not None and g.cutoff < f.degree:
@@ -652,6 +665,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     Defined when f is exact, or when g has no constant term (then only
     finitely many terms of f touch each output degree).
     """
+    _check_elements(f, g)
     has_constant = () in g._nums
     if f.cutoff is not None and has_constant:
         raise ValueError(
@@ -727,6 +741,7 @@ def _standard_series(name: str, cutoff: int) -> SymFunc:
 def leading_term(f: SymFunc, basis: str = "s"):
     """(partition, coefficient) of the canonical leading term of the top
     degree; f must be exact and nonzero, as a series' top follows its cutoff."""
+    _check_elements(f)
     if f.is_zero:
         raise ValueError("the zero element has no leading term")
     if f.cutoff is not None:

@@ -13,7 +13,9 @@ import symfrob
 from symfrob import frobenius
 from symfrob.cli import main
 from symfrob.frobenius import (
+    COEFF_KINDS,
     _assignment_sum,
+    _e_values_at_unity,
     _pleth_coeff,
     coeff,
     coeff_table,
@@ -38,7 +40,7 @@ from symfrob.frobenius import (
     witness_search,
 )
 from symfrob.lyndon import content_vector, lyndon_words, witt_count
-from symfrob.oracles import frobenius_via_roots, power_value_at_unity
+from symfrob.oracles import eval_at_unity, frobenius_via_roots, power_value_at_unity
 from symfrob.partitions import (
     conjugate,
     durfee,
@@ -744,6 +746,35 @@ def test_multiplicity_kinds_are_nonnegative():
     )
 
 
+def test_every_family_has_its_sign_through_degree_8():
+    # r, t and a are multiplicities; u and b are signed multiplicities with
+    # the sign (-1)^(|lam|-|mu|) (derived in the _column docstring).
+    for kind in COEFF_KINDS:
+        index, matrix = coeff_table(kind, 8)
+        for mu, row in zip(index, matrix):
+            for lam, value in zip(index, row):
+                sign = (-1) ** (sum(lam) - sum(mu)) if kind in ("u", "b") else 1
+                assert sign * value >= 0, (kind, lam, mu, value)
+
+
+def test_u_and_b_are_signed_lie_plethysm_pairings():
+    # u_lam^mu = (-1)^(|lam|-|mu|) <s_lam', s_mu'[Lsum]> and b the same with
+    # one more factor H: the Schur-positive side of the sign law, read from
+    # plethysm by the free Lie algebra.
+    lsum, series_h = standard_series("Lsum", 6), standard_series("H", 6)
+    pairs = 0
+    for mu in partitions_up_to(6):
+        image = plethysm(from_basis("s", conjugate(mu)), lsum)
+        u_column = to_basis_int(image, "s")
+        b_column = to_basis_int(image * series_h, "s")
+        for lam in partitions_up_to(6):
+            sign = (-1) ** (sum(lam) - sum(mu))
+            assert coeff("u", lam, mu) == sign * u_column.get(conjugate(lam), 0), (lam, mu)
+            assert coeff("b", lam, mu) == sign * b_column.get(conjugate(lam), 0), (lam, mu)
+            pairs += 1
+    assert pairs == 900
+
+
 def test_b_alternating_elementary_route():
     # b can also pair against plethysm by Cadogan's series times the
     # alternating elementary series; both routes must agree.
@@ -997,6 +1028,27 @@ def test_vanishing_contrapositive_sweep():
                 assert vanishing_check("a-bound", lam, mu), (lam, mu)
 
 
+def test_length_bound_holds_for_r_and_t_but_not_a():
+    # S^lam K^n = 0 when len(lam) > n = |mu|, and 0 <= t <= r; an a entry
+    # may break it, the first being a_(1)^() = 1.
+    certified = {}
+    for kind in ("r", "t", "a"):
+        index, matrix = coeff_table(kind, 8)
+        broken = certified[kind] = 0
+        for mu, row in zip(index, matrix):
+            for lam, value in zip(index, row):
+                if vanishing_check("length-bound", lam, mu):
+                    continue
+                if value > 0:
+                    broken += 1
+                else:
+                    certified[kind] += 1
+        assert broken == (225 if kind == "a" else 0), kind
+    assert certified == {"r": 453, "t": 453, "a": 228}
+    assert coeff("a", (1,), ()) == 1 and not vanishing_check("length-bound", (1,), ())
+    assert vanishing_check("length-bound", [1, 1], [2])
+
+
 def test_durfee_examples():
     assert durfee_criterion((2, 2), 2)
     assert witness_search((2, 2), 2) is not None
@@ -1026,6 +1078,28 @@ def test_durfee_bound_is_tight_at_k3():
     lam = witness_search(mu, 3)
     assert lam is not None and lam[0] <= 3
     assert coeff("r", lam, mu) > 0
+
+
+def test_e_values_at_unity_match_the_oracle():
+    # One table per class: e_0..e_|rho|, and e_r = 0 above |rho| since rho
+    # has |rho| eigenvalues.
+    for rho in partitions_up_to(7):
+        values = _e_values_at_unity(rho)
+        assert len(values) == sum(rho) + 1, rho
+        for r in range(sum(rho) + 3):
+            want = eval_at_unity(from_basis("e", (r,) if r else ()), rho)
+            assert want == (values[r] if r <= sum(rho) else 0), (rho, r)
+
+
+def test_witness_search_memoizes_per_class_not_per_pair():
+    # The evaluation route keeps one e-value table per class rho of S_|mu|
+    # and no (lam, rho) pair: p(9) = 30 and p(18) = 385 bound the tables.
+    for mu, classes in (((3, 3, 3), 30), ((3, 3, 3, 3, 3, 3), 385)):
+        symfrob.clear_caches()
+        assert witness_search(mu, 2) is None
+        stats = symfrob.cache_stats()
+        assert "symfrob.frobenius._schur_at_unity" not in stats
+        assert 0 < stats["symfrob.frobenius._e_values_at_unity"]["entries"] <= classes
 
 
 def test_witness_search_returns_valid_witness():

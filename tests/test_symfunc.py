@@ -548,6 +548,41 @@ def test_inputs_of_the_wrong_type_raise_value_error(name, args, message):
         getattr(symfrob, name)(*args)
 
 
+_ONE = SymFunc.one()
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("fsur", (5,)),
+        ("fsurinv", (5,)),
+        ("fsurinv_iterative", (5,)),
+        ("fsur_expansion", (5,)),
+        ("frobenius_series", (5, 3)),
+        ("to_basis", (5, "s")),
+        ("to_basis_int", (5, "h")),
+        ("to_serializable", (5, "p")),
+        ("leading_term", (5,)),
+        ("hall", (5, _ONE)),
+        ("hall", (_ONE, 5)),
+        ("kronecker", (5, _ONE)),
+        ("kronecker", (_ONE, 5)),
+        ("omega", (5,)),
+        ("skew", (5, _ONE)),
+        ("skew", (_ONE, 5)),
+        ("plethysm", (5, _ONE)),
+        ("plethysm", (_ONE, 5)),
+        ("eval_at_unity", (5, (1,))),
+        ("frobenius_via_roots", (5, 3)),
+    ],
+)
+def test_an_element_of_another_type_raises_type_error(name, args):
+    # One check (symfunc._check_elements) gives every public function that
+    # takes an element the operators' rule, in either argument position.
+    with pytest.raises(TypeError, match="expected a SymFunc, got int"):
+        getattr(symfrob, name)(*args)
+
+
 def test_h_series_times_alternating_e_series_is_one():
     # The b family skews by Emin as the inverse of H.
     for cutoff in range(11):
