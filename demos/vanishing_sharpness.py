@@ -9,10 +9,18 @@ attained), and the pairs where the bound holds but the coefficient is 0
 (the bound cannot see the zero). A positive coefficient that breaks the
 bound would contradict the theorem and stops the demo.
 
+A second table accounts for the zeros of r through degree 8, criterion by
+criterion: the r bound, the length bound len(lam) <= |mu|, and the Durfee
+criterion, which for nonempty lam certifies r_lam^mu = 0 when the Durfee
+square of mu has side more than 2^(lam_1 - 1). It counts the zeros each
+criterion certifies and those no criterion explains, and prints the first
+of the latter in index order (mu, then lam), the first being
+r_(1,1)^(2) = 0: the degree-2 part of s_2[H] is 2 h_2.
+
 Run with: python demos/vanishing_sharpness.py
 """
 
-from symfrob import coeff_table, hat, intersect, vanishing_check
+from symfrob import coeff_table, durfee_criterion, format_partition, hat, intersect, vanishing_check
 
 MAXDEG = 8
 FAMILIES = (("r", "r-bound"), ("t", "t-bound"), ("a", "a-bound"))
@@ -46,3 +54,38 @@ for coeff_kind, kind in FAMILIES:
                 row_counts[3] += 1
     for d, (pairs, holds, tight, blind) in counts.items():
         print(f"{coeff_kind:>6} {d:>6} {pairs:>6} {holds:>6} {tight:>8} {blind:>9}")
+
+
+CRITERIA = ("r-bound", "length-bound", "durfee")
+SHOWN = 8
+
+
+def certifies(criterion, lam, mu):
+    """Whether the criterion says r_lam^mu = 0."""
+    if criterion == "durfee":
+        return bool(lam) and not durfee_criterion(mu, lam[0])
+    return not vanishing_check(criterion, lam, mu)
+
+
+index, matrix = coeff_table("r", MAXDEG)
+zeros, certified, unexplained = 0, dict.fromkeys(CRITERIA, 0), []
+for mu, row in zip(index, matrix):
+    for lam, value in zip(index, row):
+        found = [criterion for criterion in CRITERIA if certifies(criterion, lam, mu)]
+        if value > 0 and found:
+            raise SystemExit(f"r[{lam}, {mu}] = {value} breaks {', '.join(found)}")
+        if value:
+            continue
+        zeros += 1
+        for criterion in found:
+            certified[criterion] += 1
+        if not found:
+            unexplained.append((lam, mu))
+print()
+print(f"zeros of r through degree {MAXDEG}: {zeros}")
+for criterion, count in certified.items():
+    print(f"{criterion:>13} certifies {count:>5}")
+print(f"{'no criterion':>13} explains {len(unexplained):>5}")
+print("first unexplained zeros:")
+for lam, mu in unexplained[:SHOWN]:
+    print(f"  r_{format_partition(lam)}^{format_partition(mu)} = 0")

@@ -215,15 +215,13 @@ def evaluate_expr(node) -> SymFunc:
 
 def _suite_kronecker(maxdeg):
     parts = partitions_up_to(maxdeg)
+    series = {lam: frob.frobenius_series(from_basis("s", lam), maxdeg) for lam in parts}
     for lam in parts:
         for mu in parts:
             if lam > mu:
                 continue
-            s_lam, s_mu = from_basis("s", lam), from_basis("s", mu)
-            left = frob.frobenius_series(s_lam * s_mu, maxdeg)
-            right = kronecker(
-                frob.frobenius_series(s_lam, maxdeg), frob.frobenius_series(s_mu, maxdeg)
-            )
+            left = frob.frobenius_series(from_basis("s", lam) * from_basis("s", mu), maxdeg)
+            right = kronecker(series[lam], series[mu])
             yield f"product rule {format_partition(lam)} {format_partition(mu)}", left == right
 
 
@@ -247,10 +245,10 @@ def _suite_routes(maxdeg):
 
 def _roundtrip(basis, lam):
     f = from_basis(basis, lam)
-    forward = frob.fsur(f)
-    if frob.fsurinv(forward) != f or frob.fsur(frob.fsurinv(f)) != f:
+    inverse = frob.fsurinv(f)
+    if frob.fsurinv(frob.fsur(f)) != f or frob.fsur(inverse) != f:
         return False
-    return frob.fsurinv_iterative(f) == frob.fsurinv(f)
+    return frob.fsurinv_iterative(f) == inverse
 
 
 def _suite_vanishing(maxdeg):

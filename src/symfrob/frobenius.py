@@ -529,6 +529,15 @@ def vanishing_check(kind: str, lam, mu) -> bool:
     n = |mu|, r_lam^mu is the multiplicity of V_mu in S^lam K^n, which is
     0 when len(lam) > n, and 0 <= t <= r. It does not hold for a:
     a_(1)^() = 1.
+
+    The r bound is the t bound seen through Pieri. r_lam^mu sums t_lam^nu
+    over the nu of ``_horizontal_strips(mu)``, and t >= 0, so r vanishes
+    exactly when every such t does. The t bound at (lam, nu) holds when
+    the slack |lam ∩ nu| - 2|nu| + |lam| is >= 0; a box added to nu raises
+    |lam ∩ nu| by at most 1 and 2|nu| by 2, so the slack drops by at least
+    1. hat(mu) is the least nu with mu/nu a horizontal strip (nu_i >=
+    mu_(i+1)), and every other one contains it, so the r bound, the t
+    bound at hat(mu), fails exactly when the t bound fails for every nu.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)

@@ -48,10 +48,11 @@ def pi_of_word(w) -> tuple:
 
 
 def _as_alphabet(alphabet) -> list:
-    """The letters in order; a size, or a string read as one, means [1..size].
+    """The letters in order; a size means [1..size].
 
-    An empty alphabet, a repeated letter or letters with no common order
-    raise ValueError, as a size below 1 does.
+    A string is neither a size nor letters: "3" and "abc" raise
+    ValueError, as a size below 1, an empty alphabet, a repeated letter
+    or letters with no common order do.
     """
     if isinstance(alphabet, str) or not hasattr(alphabet, "__iter__"):
         return list(range(1, _count(alphabet, 1) + 1))
@@ -70,7 +71,8 @@ def lyndon_words(alphabet, max_len: int) -> list:
     """All Lyndon words of length <= max_len over the alphabet, in lex order.
 
     ``alphabet`` is either a size (meaning [1..size]) or an iterable of
-    letters. Generation is Duval's successor algorithm on letter indices.
+    letters other than a string; a string, such as "3", raises ValueError.
+    Generation is Duval's successor algorithm on letter indices.
     """
     letters = _as_alphabet(alphabet)
     k = len(letters)

@@ -60,7 +60,15 @@ def eval_at_unity(f: SymFunc, mu) -> Fraction:
 
 
 def frobenius_via_roots(f: SymFunc, cutoff: int) -> SymFunc:
-    """The full Frobenius transform through the cutoff, by evaluation only."""
+    """The full Frobenius transform through the cutoff, by evaluation only.
+
+    The result goes through the validating constructor ``SymFunc(...)``,
+    the one builder in the package besides a scalar's ``_coerce`` that
+    does not use ``SymFunc._build``: it reduces Fractions of its own, so
+    the oracle shares no reduction with the ``_build``-made engine output
+    it is compared with, and a fault in ``_build`` cannot hide on both
+    sides. This module imports nothing from ``frobenius``.
+    """
     cutoff = _count(cutoff)
     terms = {}
     for n in range(cutoff + 1):

@@ -76,7 +76,9 @@ class SymFunc:
     is 1 and no key lies above the cutoff. The pair is unique, so
     equality and hashing compare it. ``_build``, the constructor of the
     package's builders and the only one that skips ``__init__``, drops
-    zeros and reduces.
+    zeros and reduces; ``zero`` and ``one`` are built by it too. Inside
+    the package only ``_coerce`` (a scalar) and the roots-of-unity oracle
+    ``oracles.frobenius_via_roots`` call the validating constructor.
     """
 
     __slots__ = ("_nums", "_den", "cutoff")
@@ -129,11 +131,11 @@ class SymFunc:
 
     @classmethod
     def zero(cls, cutoff=None):
-        return cls({}, cutoff)
+        return cls._build({}, cutoff=None if cutoff is None else _count(cutoff))
 
     @classmethod
     def one(cls, cutoff=None):
-        return cls({(): 1}, cutoff)
+        return cls._build({(): 1}, cutoff=None if cutoff is None else _count(cutoff))
 
     # -- inspection ----------------------------------------------------
 

@@ -1049,6 +1049,39 @@ def test_length_bound_holds_for_r_and_t_but_not_a():
     assert vanishing_check("length-bound", [1, 1], [2])
 
 
+def test_r_bound_is_the_t_bound_at_every_horizontal_strip():
+    # Derived in vanishing_check: the r bound fails exactly when the t
+    # bound fails at every nu with mu/nu a horizontal strip.
+    index = partitions_up_to(10)
+    certified = 0
+    for mu in index:
+        strips = frobenius._horizontal_strips(mu)
+        for lam in index:
+            holds = vanishing_check("r-bound", lam, mu)
+            assert holds == any(vanishing_check("t-bound", lam, nu) for nu in strips), (lam, mu)
+            certified += not holds
+    assert (len(index) ** 2, certified) == (19321, 3638)
+
+
+def test_no_positive_r_breaks_a_bound_beyond_the_square_tables():
+    # The r bound certifies a zero only when |lam| < 2|hat(mu)|, mostly
+    # outside the square tables; evaluation reaches |mu| < |lam| <= 2|mu|.
+    pairs = positive = 0
+    certified = {"r-bound": 0, "length-bound": 0}
+    for mu in partitions_up_to(6):
+        for size in range(sum(mu) + 1, 2 * sum(mu) + 1):
+            for lam in partitions_of(size):
+                value = restriction_coeff_eval(lam, mu)
+                pairs += 1
+                positive += value > 0
+                for kind in certified:
+                    if not vanishing_check(kind, lam, mu):
+                        assert value == 0, (kind, lam, mu, value)
+                        certified[kind] += 1
+    assert (pairs, positive) == (3864, 2721)
+    assert certified == {"r-bound": 6, "length-bound": 775}
+
+
 def test_durfee_examples():
     assert durfee_criterion((2, 2), 2)
     assert witness_search((2, 2), 2) is not None

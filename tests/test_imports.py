@@ -3,7 +3,9 @@ module-level helper is used somewhere in the package, one function calls
 ``partitions._block_splits``, every lru_cache decorates a module-level
 function, no module uses an assert statement, only symfunc.py touches a
 SymFunc's numerator form, only SymFunc._build builds one without
-__init__, only the integer column kernels name partition ids, no verify
+__init__, package code calls the validating constructor only for a
+scalar and in the roots oracle, the oracle imports no transform engine,
+only the integer column kernels name partition ids, no verify
 suite defines a closure, the CLI loads no standard library module beyond
 what its own imports need, every symfrob name the benchmark binds exists,
 and every source line the benchmark self-test patches occurs once."""
@@ -105,19 +107,28 @@ def test_dead_helper_is_reported():
     assert dead_helpers(sources) == [("a.py", "_dead"), ("b.py", "_Gone")]
 
 
-def callers(sources: dict, name: str) -> list:
-    """(module, definition) of each top-level function or class, or
-    "<module>" for any other top-level statement, that calls ``name`` by a
-    bare name or as an attribute, nested functions and methods included."""
+def callers(sources: dict, *names: str) -> list:
+    """(module, definition) of each place that calls one of ``names`` by a
+    bare name or as an attribute: a top-level function, nested functions
+    included, ``Class.method`` for a method of a top-level class (``Class``
+    for any other statement in its body), or "<module>" for any other
+    top-level statement."""
     found = set()
     for module, source in sources.items():
         for statement in ast.parse(source).body:
-            if any(
-                isinstance(node, ast.Call)
-                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                for node in ast.walk(statement)
-            ):
-                found.add((module, getattr(statement, "name", "<module>")))
+            scopes = [(getattr(statement, "name", "<module>"), statement)]
+            if isinstance(statement, ast.ClassDef):
+                scopes = [
+                    (".".join(filter(None, (statement.name, getattr(item, "name", None)))), item)
+                    for item in statement.body
+                ]
+            for definition, scope in scopes:
+                if any(
+                    isinstance(node, ast.Call)
+                    and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {*names}
+                    for node in ast.walk(scope)
+                ):
+                    found.add((module, definition))
     return sorted(found)
 
 
@@ -156,7 +167,7 @@ def test_caller_is_reported():
     assert callers(sources, "_block_splits") == [
         ("a.py", "one"),
         ("b.py", "<module>"),
-        ("b.py", "C"),
+        ("b.py", "C.two"),
     ]
 
 
@@ -452,6 +463,102 @@ def test_constructor_outside_build_is_reported():
         "    return getattr(cls, '__new__')(cls)\n"
     )
     assert constructors_outside_build(source) == [6, 8, 9, 12]
+
+
+def test_package_builds_elements_through_build():
+    # SymFunc._build builds every element the package makes, zero and one
+    # included. The validating constructor takes a scalar operand in
+    # _coerce, and the roots oracle's result, which so shares no reduction
+    # with the engine output it is compared with.
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert callers(sources, "SymFunc", "cls") == [
+        ("oracles.py", "frobenius_via_roots"),
+        ("symfunc.py", "SymFunc._coerce"),
+    ]
+
+
+def test_validating_construction_is_reported():
+    sources = {
+        "a.py": (
+            "class SymFunc:\n"
+            "    @classmethod\n"
+            "    def zero(cls):\n"
+            "        return cls({})\n"
+            "\n"
+            "    @classmethod\n"
+            "    def one(cls):\n"
+            "        return cls._build({(): 1})\n"
+            "\n"
+            "    EMPTY = SymFunc()\n"
+            "\n"
+            "def merely_names():\n"
+            "    return SymFunc\n"
+        ),
+        "b.py": (
+            "import symfunc\n"
+            "\n"
+            "def nested(terms):\n"
+            "    def inner():\n"
+            "        return symfunc.SymFunc(terms)\n"
+            "    return inner()\n"
+            "\n"
+            "def built(nums):\n"
+            "    return SymFunc._build(nums)\n"
+            "\n"
+            "ONE = SymFunc({(): 1})\n"
+        ),
+    }
+    assert callers(sources, "SymFunc", "cls") == [
+        ("a.py", "SymFunc"),
+        ("a.py", "SymFunc.zero"),
+        ("b.py", "<module>"),
+        ("b.py", "nested"),
+    ]
+
+
+ORACLE_LAYERS = ("symfrob.partitions", "symfrob.symfunc")
+
+
+def engine_imports(source: str) -> list:
+    """Lines that import from symfrob anything but the layers the roots
+    oracle stands on (``partitions`` and ``symfunc``): the ``frobenius``
+    module or a name from it, another module, or a name the package
+    itself re-exports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("symfrob" if node.level else None, node.module)))
+            targets = [module]
+            if module == "symfrob":
+                targets = [f"symfrob.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(t.split(".")[0] == "symfrob" and t not in ORACLE_LAYERS for t in targets):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_oracle_imports_no_transform_engine():
+    # The roots oracle checks the engine, so it may not read any of it.
+    assert engine_imports((PACKAGE / "oracles.py").read_text()) == []
+
+
+def test_engine_import_is_reported():
+    source = (
+        "from __future__ import annotations\n"
+        "from fractions import Fraction\n"
+        "from .partitions import divisors\n"
+        "from . import symfunc\n"
+        "from .frobenius import fsur\n"
+        "from . import frobenius as frob\n"
+        "import symfrob.frobenius\n"
+        "from symfrob import fsur, symfunc\n"
+        "from .cli import main\n"
+        "from symfrob.symfunc import SymFunc\n"
+    )
+    assert engine_imports(source) == [5, 6, 7, 8, 9]
 
 
 def test_cli_import_budget():

@@ -87,6 +87,10 @@ def test_single_letter_alphabet():
     assert lyndon_words(1, 5) == [(1,)]
     assert lyndon_words(1, 0) == []
     assert witt_count(1, 2) == 0
+    # A size is an int: a string is not read as one, nor as its letters.
+    for bad in (0, "3", "abc"):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            lyndon_words(bad, 2)
 
 
 @pytest.mark.parametrize("alphabet", [[1, 1], [], (2, 1, 2), [(1, 2), (1, 2)]])

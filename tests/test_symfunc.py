@@ -278,6 +278,19 @@ def test_an_exact_constant_hashes_as_its_scalar():
     assert SymFunc.one(3) != 1
 
 
+def test_zero_and_one_match_the_validating_constructor():
+    # zero and one are built by _build; the cutoff still passes _count.
+    for cutoff in (None, 0, 3, 3.0):
+        for made, terms in ((SymFunc.zero(cutoff), {}), (SymFunc.one(cutoff), {(): 1})):
+            want = SymFunc(terms, cutoff)
+            assert made == want and hash(made) == hash(want), cutoff
+            assert made.cutoff == want.cutoff and type(made.cutoff) is type(want.cutoff)
+    for bad in (-1, 2.5, "3", True):
+        for build in (SymFunc.zero, SymFunc.one):
+            with pytest.raises(ValueError):
+                build(bad)
+
+
 def test_multiplicative_identities():
     f = s(2, 1) - 3 * p(3)
     assert SymFunc.one() * f == f
