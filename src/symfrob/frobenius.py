@@ -423,7 +423,10 @@ def _column(kind: str, lam):
     then fsurinv, which inverts the a map because H * Emin = 1, and sums
     (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
     strip. The read-only mapping is shared by every caller; kind is one
-    of t, u, a and b, checked by ``_coeff``.
+    of t, u, a and b, checked by ``_coeff``. t and u are the integral
+    reader ``to_basis_int(·, "s")`` of the transform, which sums its int
+    numerators along the character columns ``symfunc._p_in_s``, and the
+    strip sums add ints, so no family builds a Fraction.
 
     Signs. fsur and fsurinv are the Hall adjoints of plethysm by Hplus and
     by Cadogan, so t_lam^mu = <s_lam, s_mu[Hplus]>, and Hplus is Schur

@@ -19,7 +19,10 @@ Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
 of lam and the class mu. Each standard series sums one element per
 degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon function L_n
 or (-1)^(n-1) omega(L_n). A Fraction is built only when a coefficient is
-read, and the Schur conversion still sums Fractions.
+read. The integral reader ``to_basis_int`` sums ints in every basis,
+along the memoized columns ``_p_in_s``, ``_p_in_h`` and ``_p_in_m``;
+``to_basis`` does so for h, e and m, while its Schur conversion still
+sums Fractions (see ``to_basis`` for why).
 """
 
 from __future__ import annotations
@@ -405,6 +408,22 @@ def _s_scaled_in_p(lam) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _p_in_s(nu) -> tuple:
+    """p_nu in the s basis, as (id of lam, int) pairs.
+
+    p_nu is the sum over lam of |nu| of chi_lam(nu) s_lam (Macdonald
+    I.7.8), each character read from ``_border_strip_sum``; the lam with
+    chi_lam(nu) = 0 are left out. Each lam is keyed by its partition id.
+    """
+    out = []
+    for lam in partitions_of(sum(nu)):
+        chi = _border_strip_sum(_beta_mask(lam), nu)
+        if chi:
+            out.append((_part_id(lam), chi))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _p_in_h(nu) -> tuple:
     """p_nu in the h basis, as (id of mu, int) pairs.
 
@@ -530,19 +549,47 @@ def _int_column_sum(f: SymFunc, column) -> tuple:
     return {_PART_ENTRIES[mu]: total for mu, total in totals.items() if total}, f._den
 
 
+def _int_expansion(f: SymFunc, basis: str) -> tuple:
+    """f in the basis as (totals, D): f is the sum of totals[lam] / D times
+    the basis element of lam, each total a nonzero int and D f's own
+    denominator. p reads f's numerators; s, h and m sum them along the
+    integer column of p_nu in that basis (``_int_column_sum``); e sums
+    ``omega(f)`` along the h columns. Any other basis raises ValueError."""
+    if basis == "e":
+        f, basis = omega(f), "h"
+    if basis == "p":
+        return f._nums, f._den
+    if basis == "s":
+        column = _p_in_s
+    elif basis == "h":
+        column = _p_in_h
+    elif basis == "m":
+        column = _p_in_m
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    return _int_column_sum(f, column)
+
+
 def to_basis(f: SymFunc, basis: str) -> dict:
     """Expand f in the given basis: mapping partition -> Fraction.
 
     For a series the expansion covers degrees up to the cutoff. The h and
     m coefficients sum f's int numerators along the integer column of
     p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), and
-    the e coefficients are the h coefficients of ``omega(f)``. The Schur
-    coefficient of lam is the sum of chi_lam(nu) f_nu over f's terms nu
-    of lam's degree, still in Fraction arithmetic.
+    the e coefficients are the h coefficients of ``omega(f)``
+    (``_int_expansion``). The Schur coefficient of lam is the sum of
+    chi_lam(nu) f_nu over f's terms nu of lam's degree, still in Fraction
+    arithmetic. Its integer column ``_p_in_s`` serves ``to_basis_int``
+    alone for now. On that column the benchmark's basis-cold wall time
+    fell from 0.470 to 0.082 s, but session-warm fit 200 timed passes
+    into its run in place of 40, and ``benchmarks/run.py`` reads each
+    child's peak RSS together with its own, which grows with the records
+    it keeps: session-warm ``peak_rss_mb`` read 46.5 MB against 32.4 MB,
+    though its first session read 24.2 MB against 24.0 MB.
+    The conversion moves onto ``_p_in_s`` once the benchmark reads each
+    child's own memory (ROADMAP item 2, after item 1).
     """
     _check_elements(f)
-    if basis == "p":
-        return dict(f.terms())
     if basis == "s":
         out = {}
         for n, terms in _by_degree(f.terms()).items():
@@ -552,27 +599,29 @@ def to_basis(f: SymFunc, basis: str) -> dict:
                 if c:
                     out[lam] = c
         return out
-    if basis == "e":
-        return to_basis(omega(f), "h")
-    if basis == "h":
-        column = _p_in_h
-    elif basis == "m":
-        column = _p_in_m
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    totals, denominator = _int_column_sum(f, column)
+    totals, denominator = _int_expansion(f, basis)
     return {mu: Fraction(total, denominator) for mu, total in totals.items()}
 
 
 def to_basis_int(f: SymFunc, basis: str) -> dict:
-    """Like to_basis but demands integer coefficients (IntegralityError otherwise)."""
+    """Like to_basis but demands integer coefficients (IntegralityError otherwise).
+
+    Every basis, s included, sums f's int numerators along integer
+    columns (``_int_expansion``) and divides each total by f's
+    denominator once; no Fraction is built unless a total does not
+    divide, for the error's text.
+    """
+    _check_elements(f)
+    totals, denominator = _int_expansion(f, basis)
     out = {}
-    for lam, c in to_basis(f, basis).items():
-        if c.denominator != 1:
+    for lam, total in totals.items():
+        q, r = divmod(total, denominator)
+        if r:
             raise IntegralityError(
-                f"coefficient of {basis}_{lam} is {c}, expected an integer"
+                f"coefficient of {basis}_{lam} is {Fraction(total, denominator)}, "
+                "expected an integer"
             )
-        out[lam] = c.numerator
+        out[lam] = q
     return out
 
 

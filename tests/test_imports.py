@@ -205,6 +205,7 @@ def test_partition_ids_stay_in_the_column_kernels():
         ("symfunc.py", "_int_column_sum"),
         ("symfunc.py", "_p_in_h"),
         ("symfunc.py", "_p_in_m"),
+        ("symfunc.py", "_p_in_s"),
     ]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,46 @@ def test_power_values():
     assert power_value_at_unity(4, (3, 2, 1)) == 3
     with pytest.raises(ValueError):
         power_value_at_unity(0, (1,))
+
+
+def plain_eval_at_unity(f, mu):
+    """f at the eigenvalues of mu, one Fraction term at a time."""
+    total = Fraction(0)
+    for lam, c in f.terms():
+        value = c
+        for part in lam:
+            value *= power_value_at_unity(part, mu)
+        total += value
+    return total
+
+
+def test_eval_matches_a_plain_fraction_evaluation():
+    rng = random.Random(7)
+    for _ in range(12):
+        f = SymFunc.zero()
+        for _ in range(rng.randint(1, 5)):
+            basis = rng.choice(BASES)
+            lam = rng.choice(partitions_up_to(6))
+            f = f + Fraction(rng.randint(-9, 9), rng.randint(1, 12)) * from_basis(basis, lam)
+        for mu in partitions_up_to(6):
+            value = eval_at_unity(f, mu)
+            assert type(value) is Fraction and value == plain_eval_at_unity(f, mu), (f, mu)
+
+
+@pytest.mark.parametrize(
+    "f, error",
+    [
+        (5, TypeError),
+        ({(1,): 1}, TypeError),
+        (standard_series("H", 3), ValueError),
+        (from_basis("s", (2, 1)).truncate(4), ValueError),
+    ],
+)
+def test_roots_route_rejects_non_elements_and_series(f, error):
+    with pytest.raises(error):
+        frobenius_via_roots(f, 3)
+    with pytest.raises(error):
+        eval_at_unity(f, (1,))
 
 
 def test_eval_is_ring_homomorphism():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -218,16 +219,56 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
 
+def assert_integer_reader_matches(f):
+    """to_basis_int(f, b) is the ints of the rational reader to_basis(f, b)
+    in every basis b, and raises IntegralityError where one is not an int."""
+    for basis in BASES:
+        rational = to_basis(f, basis)
+        if all(c.denominator == 1 for c in rational.values()):
+            want = {lam: c.numerator for lam, c in rational.items()}
+            got = to_basis_int(f, basis)
+            assert got == want, (f, basis)
+            assert all(type(c) is int for c in got.values()), (f, basis)
+        else:
+            with pytest.raises(IntegralityError):
+                to_basis_int(f, basis)
+
+
 def test_integral_transition_between_integral_bases():
-    for src in ("m", "e", "h", "s"):
-        for dst in ("m", "e", "h", "s"):
-            for lam in partitions_up_to(5):
-                to_basis_int(from_basis(src, lam), dst)
+    for src in BASES:
+        for lam in partitions_up_to(7):
+            assert_integer_reader_matches(from_basis(src, lam))
+
+
+def test_integer_reader_matches_on_the_transforms_of_schur_functions():
+    for lam in partitions_up_to(7):
+        f = s(*lam)
+        assert_integer_reader_matches(fsur(f))
+        assert_integer_reader_matches(fsurinv(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(BASES), partition_up_to(7), st.integers(-6, 6)),
+        max_size=5,
+    )
+)
+def test_integer_reader_matches_on_integral_combinations(combination):
+    f = SymFunc.zero()
+    for basis, lam, c in combination:
+        f = f + c * from_basis(basis, lam)
+    assert_integer_reader_matches(f)
 
 
 def test_to_basis_int_rejects_rationals():
     with pytest.raises(IntegralityError):
         to_basis_int(h(2), "p")
+    # p_1 is s_1, h_1, e_1 and m_1 alike.
+    for basis in BASES:
+        message = f"coefficient of {basis}_(1,) is 1/2, expected an integer"
+        with pytest.raises(IntegralityError, match=re.escape(message)):
+            to_basis_int(Fraction(1, 2) * p(1), basis)
 
 
 # -- ring operations --------------------------------------------------------
