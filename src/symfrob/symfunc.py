@@ -580,14 +580,11 @@ def to_basis(f: SymFunc, basis: str) -> dict:
     (``_int_expansion``). The Schur coefficient of lam is the sum of
     chi_lam(nu) f_nu over f's terms nu of lam's degree, still in Fraction
     arithmetic. Its integer column ``_p_in_s`` serves ``to_basis_int``
-    alone for now. On that column the benchmark's basis-cold wall time
-    fell from 0.470 to 0.082 s, but session-warm fit 200 timed passes
-    into its run in place of 40, and ``benchmarks/run.py`` reads each
-    child's peak RSS together with its own, which grows with the records
-    it keeps: session-warm ``peak_rss_mb`` read 46.5 MB against 32.4 MB,
-    though its first session read 24.2 MB against 24.0 MB.
-    The conversion moves onto ``_p_in_s`` once the benchmark reads each
-    child's own memory (ROADMAP item 2, after item 1).
+    alone for now: on it the benchmark's session-warm run fits more
+    timed passes, and the harness's peak memory, which reads each child's
+    together with its own records, grows with them. The conversion moves
+    onto ``_p_in_s`` once the harness reads each child's own memory
+    (ROADMAP items 1 and 2).
     """
     _check_elements(f)
     if basis == "s":
