@@ -68,8 +68,8 @@ from .symfunc import (
     SymFunc,
     _check_elements,
     _int_column_sum,
+    _int_expansion,
     _linear_combination,
-    _s_scaled_in_p,
     _series_term,
     _set_partition_sum,
     from_basis,
@@ -611,25 +611,21 @@ def _schur_at_unity(lam_t, rho) -> int:
 def restriction_coeff_eval(lam, mu) -> int:
     """r coefficient by evaluation over cycle types (no plethysm).
 
-    Averages the Schur evaluation at permutation eigenvalues against the
-    character of mu. Used by the witness search where the transform route
-    would need degree up to k*|mu|. The route memoizes one e-value table
-    per class rho and one int per (lam, mu) asked, never a (lam, rho) pair.
+    r_lam^mu = dim Hom(V_mu, S^lam K^n), n = |mu|, is the sum over the
+    classes rho of S_n of [p_rho] s_mu times s_lam at the eigenvalues of
+    rho (Macdonald I.7.8): s_mu's p row is read over its denominator, the
+    int total divided once. Used by the witness search where the
+    transform route would need degree up to k*|mu|. The route memoizes
+    one e-value table per class rho and nothing per (lam, mu) or (lam,
+    rho) pair.
     """
-    return _restriction_coeff_eval(as_partition(lam), as_partition(mu))
-
-
-@lru_cache(maxsize=None)
-def _restriction_coeff_eval(lam, mu) -> int:
-    """|mu|! r is the int sum of chi_mu(rho) |mu|!/z_rho s_lam(rho) over rho."""
-    size = factorial(sum(mu))
+    lam, mu = as_partition(lam), as_partition(mu)
+    nums, den = _int_expansion(from_basis("s", mu), "p")
     lam_t = conjugate(lam)
-    total = sum(c * _schur_at_unity(lam_t, rho) for rho, c in _s_scaled_in_p(mu))
-    value, remainder = divmod(total, size)
+    total = sum(c * _schur_at_unity(lam_t, rho) for rho, c in nums.items())
+    value, remainder = divmod(total, den)
     if remainder:
-        raise IntegralityError(
-            f"r coefficient for {lam}, {mu} is {Fraction(total, size)}"
-        )
+        raise IntegralityError(f"r coefficient for {lam}, {mu} is {Fraction(total, den)}")
     return value
 
 
@@ -647,16 +643,20 @@ def witness_search(mu, k: int):
     bound is loose: in the k=2 sweep of every |mu| <= 12 (254 witnesses,
     18 None) the largest witness is 11/24 of k*|mu|, at mu = (1^12), and
     every witness has |lam| <= |mu| - 1; a None still searches it all.
-    Each lam costs one determinant of side lam_1 <= k per class of
-    S_|mu|, read from that class's memoized e-value table; no (lam, rho)
-    pair is kept. At k = 3 the tight case (4,4,4,4) gives (3,3,3,3,3), and
-    (5,5,5,5,5) reads all 13,429 lam against 589 classes to answer None.
+    Each lam is one ``restriction_coeff_eval``: a determinant of side
+    lam_1 <= k per class of S_|mu|, read from that class's memoized
+    e-value table; no (lam, mu) or (lam, rho) pair is kept. At k = 3 the
+    tight case (4,4,4,4) gives (3,3,3,3,3), and (5,5,5,5,5) reads all
+    13,429 lam against 589 classes to answer None. k = 4 is out of reach
+    by characters: its tight case (8^8) needs |mu| = 64, with p(64) =
+    1,741,630 classes, and its first vanishing case (9^9) needs |mu| = 81,
+    with p(81) = 18,004,327.
     """
     mu = as_partition(mu)
     k = _count(k, 1)
     for size in range(k * sum(mu) + 1):
         for lam in partitions_of(size, max_part=k):
-            if _restriction_coeff_eval(lam, mu) > 0:
+            if restriction_coeff_eval(lam, mu) > 0:
                 return lam
     return None
 

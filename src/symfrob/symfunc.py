@@ -390,24 +390,6 @@ def _border_strip_sum(mask: int, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _s_scaled_in_p(lam) -> tuple:
-    """s_lam times |lam|!, in the p basis as (mu, int) pairs.
-
-    n! s_lam is the sum over mu of n of chi_lam(mu) n!/z_mu p_mu, the
-    character times the size of the class mu, an int (Macdonald I.7.8).
-    """
-    n = sum(lam)
-    size = factorial(n)
-    mask = _beta_mask(lam)
-    out = []
-    for mu in partitions_of(n):
-        chi = _border_strip_sum(mask, mu)
-        if chi:
-            out.append((mu, chi * (size // _z_value(mu))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _p_in_s(nu) -> tuple:
     """p_nu in the s basis, as (id of lam, int) pairs.
 
@@ -500,12 +482,14 @@ def _m_block(block) -> tuple:
 def from_basis(basis: str, lam) -> SymFunc:
     """The basis element with the given index, as an exact SymFunc.
 
-    An s or m element is its integer row (``_s_scaled_in_p``, or
-    ``_set_partition_sum`` with ``_m_block``) over its scale, reduced once
-    and memoized. h_k is the sum over rho of k of (k!/z_rho) p_rho over
-    k!, k!/z_rho the size of the class rho in the symmetric group; h_lam
-    is the product of its one-part elements, since h is multiplicative,
-    and e_lam is omega(h_lam) (Macdonald I.2).
+    An s or m element is its integer row over its scale, reduced once and
+    memoized: n! s_lam is the sum over rho of n of chi_lam(rho) n!/z_rho
+    p_rho, the character times the size of the class rho (Macdonald
+    I.7.8), and the m row is ``_set_partition_sum`` with ``_m_block``.
+    h_k is the sum over rho of k of (k!/z_rho) p_rho over k!, k!/z_rho
+    the size of the class rho in the symmetric group; h_lam is the
+    product of its one-part elements, since h is multiplicative, and
+    e_lam is omega(h_lam) (Macdonald I.2).
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -526,11 +510,14 @@ def _basis_element(basis: str, lam) -> SymFunc:
         row = {rho: size // _z_value(rho) for rho in partitions_of(sum(lam))}
         return SymFunc._build(row, size)
     if basis == "s":
-        pairs, scale = _s_scaled_in_p(lam), factorial(sum(lam))
-    else:
-        pairs = _set_partition_sum(_m_block, lam)
-        scale = prod(map(factorial, multiplicities(lam).values()))
-    return SymFunc._build(dict(pairs), scale)
+        size, mask = factorial(sum(lam)), _beta_mask(lam)
+        row = {
+            rho: _border_strip_sum(mask, rho) * (size // _z_value(rho))
+            for rho in partitions_of(sum(lam))
+        }
+        return SymFunc._build(row, size)
+    scale = prod(map(factorial, multiplicities(lam).values()))
+    return SymFunc._build(dict(_set_partition_sum(_m_block, lam)), scale)
 
 
 def _int_column_sum(f: SymFunc, column) -> tuple:

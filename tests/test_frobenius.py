@@ -1124,15 +1124,44 @@ def test_e_values_at_unity_match_the_oracle():
             assert want == (values[r] if r <= sum(rho) else 0), (rho, r)
 
 
+def memo_growth(read):
+    """read() and, for each memo, the entries it added."""
+    before = {name: stats["entries"] for name, stats in symfrob.cache_stats().items()}
+    result = read()
+    return result, {
+        name: stats["entries"] - before.get(name, 0)
+        for name, stats in symfrob.cache_stats().items()
+    }
+
+
 def test_witness_search_memoizes_per_class_not_per_pair():
     # The evaluation route keeps one e-value table per class rho of S_|mu|
-    # and no (lam, rho) pair: p(9) = 30 and p(18) = 385 bound the tables.
+    # and no (lam, rho) or (lam, mu) pair: p(9) = 30 and p(18) = 385 bound
+    # the tables, and with s_mu built first no memo grows by as many
+    # entries as the search reads lam.
     for mu, classes in (((3, 3, 3), 30), ((3, 3, 3, 3, 3, 3), 385)):
         symfrob.clear_caches()
-        assert witness_search(mu, 2) is None
+        from_basis("s", mu)
+        found, growth = memo_growth(lambda: witness_search(mu, 2))
+        assert found is None
         stats = symfrob.cache_stats()
         assert "symfrob.frobenius._schur_at_unity" not in stats
         assert 0 < stats["symfrob.frobenius._e_values_at_unity"]["entries"] <= classes
+        read = sum(len(partitions_of(size, max_part=2)) for size in range(2 * sum(mu) + 1))
+        assert max(growth.values()) < read, (mu, read, growth)
+    # A sweep of the |mu| <= 4 slice beyond the square tables, |mu| < |lam|
+    # <= 2|mu|, reads each pair once, so no memo may keep one per pair.
+    pairs = [
+        (lam, mu)
+        for mu in partitions_up_to(4)
+        for size in range(sum(mu) + 1, 2 * sum(mu) + 1)
+        for lam in partitions_of(size)
+    ]
+    symfrob.clear_caches()
+    for mu in partitions_up_to(4):
+        from_basis("s", mu)
+    _, growth = memo_growth(lambda: [restriction_coeff_eval(lam, mu) for lam, mu in pairs])
+    assert max(growth.values()) < len(pairs), (len(pairs), growth)
 
 
 def test_witness_search_returns_valid_witness():

@@ -27,7 +27,6 @@ from symfrob.symfunc import (
     _m_block,
     _p_in_h,
     _p_in_m,
-    _s_scaled_in_p,
     _series_term,
     _set_partition_sum,
     character_value,
@@ -767,11 +766,15 @@ def test_character_table_columns_are_orthogonal():
 
 
 def basis_row(basis, lam):
-    """(pairs, scale): the memoized integer row of a basis element and its scale."""
+    """(pairs, scale): the integer row of a basis element and its scale."""
     if basis == "p":
         return ((lam, 1),), 1
     if basis == "s":
-        return _s_scaled_in_p(lam), math.factorial(sum(lam))
+        # n! s_lam: the character times the class size n!/z_mu (Macdonald I.7.8).
+        n = sum(lam)
+        size = math.factorial(n)
+        row = [(mu, character_value(lam, mu) * size // z_value(mu)) for mu in partitions_of(n)]
+        return tuple((mu, c) for mu, c in row if c), size
     if basis == "m":
         scale = math.prod(map(math.factorial, multiplicities(lam).values()))
         return _set_partition_sum(_m_block, lam), scale
