@@ -188,8 +188,8 @@ def frobenius_series(f: SymFunc, cutoff: int) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _schur_plethysm(mu, series_name: str, cutoff: int) -> SymFunc:
-    return plethysm(from_basis("s", mu), standard_series(series_name, cutoff))
+def _schur_plethysm(mu, cutoff: int) -> SymFunc:
+    return plethysm(from_basis("s", mu), standard_series("Hgeq2", cutoff))
 
 
 def fsur_expansion(f: SymFunc) -> SymFunc:
@@ -208,7 +208,7 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
     summands = []
     for m in range(degree // 2 + 1):
         for nu in partitions_of(m):
-            skewed = skew(_schur_plethysm(nu, "Hgeq2", degree), f)
+            skewed = skew(_schur_plethysm(nu, degree), f)
             if not skewed.is_zero:
                 summands.append((1, from_basis("s", nu) * skewed))
     return _linear_combination(summands)

@@ -19,10 +19,11 @@ Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
 of lam and the class mu. Each standard series sums one element per
 degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon function L_n
 or (-1)^(n-1) omega(L_n). A Fraction is built only when a coefficient is
-read. The integral reader ``to_basis_int`` sums ints in every basis,
-along the memoized columns ``_p_in_s``, ``_p_in_h`` and ``_p_in_m``;
-``to_basis`` does so for h, e and m, while its Schur conversion still
-sums Fractions (see ``to_basis`` for why).
+read. Every conversion out of p is one sum, ``_column_sum``, along the
+memoized integer columns ``_p_in_s``, ``_p_in_h`` and ``_p_in_m``. The
+integral reader ``to_basis_int`` feeds it ints in every basis, and so
+does ``to_basis`` in h, e and m; its Schur conversion feeds it f's
+Fraction terms (see ``to_basis`` for why).
 """
 
 from __future__ import annotations
@@ -520,20 +521,26 @@ def _basis_element(basis: str, lam) -> SymFunc:
     return SymFunc._build(dict(_set_partition_sum(_m_block, lam)), scale)
 
 
-def _int_column_sum(f: SymFunc, column) -> tuple:
-    """Sum f's numerators along memoized integer columns: (totals, D).
+def _column_sum(pairs, column) -> dict:
+    """Sum the (nu, a) pairs along memoized integer columns.
 
-    f is the sum of (a_nu / D) p_nu with int a_nu. totals maps each
-    partition mu to the nonzero int sum of a_nu * c over the terms nu of
-    f and the pairs (id of mu, c) of ``column(nu)``; totals that cancel
-    to 0 are dropped. Ids stay inside the column kernels.
+    The result maps each partition mu to the nonzero sum of a * c over
+    the pairs and the pairs (id of mu, c) of ``column(nu)``, in whatever
+    arithmetic the a carry; totals that cancel to 0 are dropped. Ids stay
+    inside the column kernels.
     """
     totals: dict = {}
     get = totals.get
-    for nu, a in f._nums.items():
+    for nu, a in pairs:
         for mu, value in column(nu):
             totals[mu] = get(mu, 0) + a * value
-    return {_PART_ENTRIES[mu]: total for mu, total in totals.items() if total}, f._den
+    return {_PART_ENTRIES[mu]: total for mu, total in totals.items() if total}
+
+
+def _int_column_sum(f: SymFunc, column) -> tuple:
+    """f's int numerators summed along the columns (``_column_sum``),
+    with f's denominator D: (totals, D)."""
+    return _column_sum(f._nums.items(), column), f._den
 
 
 def _int_expansion(f: SymFunc, basis: str) -> tuple:
@@ -560,29 +567,17 @@ def _int_expansion(f: SymFunc, basis: str) -> tuple:
 def to_basis(f: SymFunc, basis: str) -> dict:
     """Expand f in the given basis: mapping partition -> Fraction.
 
-    For a series the expansion covers degrees up to the cutoff. The h and
-    m coefficients sum f's int numerators along the integer column of
-    p_nu in that basis (Newton's identity for h, ``_p_in_m`` for m), and
-    the e coefficients are the h coefficients of ``omega(f)``
-    (``_int_expansion``). The Schur coefficient of lam is the sum of
-    chi_lam(nu) f_nu over f's terms nu of lam's degree, still in Fraction
-    arithmetic. Its integer column ``_p_in_s`` serves ``to_basis_int``
-    alone for now: on it the benchmark's session-warm run fits more
-    timed passes, and the harness's peak memory, which reads each child's
-    together with its own records, grows with them. The conversion moves
-    onto ``_p_in_s`` once the harness reads each child's own memory
+    For a series the expansion covers degrees up to the cutoff. Each
+    coefficient sums f's terms along the integer column of p_nu in the
+    basis (``_column_sum``): ``_p_in_s`` for s, Newton's identity for h,
+    ``_p_in_m`` for m, and the h columns of ``omega(f)`` for e. The s
+    branch feeds the column f's Fraction terms, not its int numerators,
+    until the benchmark harness reads each child's own peak memory
     (ROADMAP items 1 and 2).
     """
     _check_elements(f)
     if basis == "s":
-        out = {}
-        for n, terms in _by_degree(f.terms()).items():
-            for lam in partitions_of(n):
-                mask = _beta_mask(lam)
-                c = sum(_border_strip_sum(mask, nu) * a for nu, a in terms)
-                if c:
-                    out[lam] = c
-        return out
+        return _column_sum(f.terms(), _p_in_s)
     totals, denominator = _int_expansion(f, basis)
     return {mu: Fraction(total, denominator) for mu, total in totals.items()}
 

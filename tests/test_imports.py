@@ -202,7 +202,7 @@ def test_partition_ids_stay_in_the_column_kernels():
     assert id_readers(sources) == [
         ("frobenius.py", "_insert_part"),
         ("frobenius.py", "_pleth_coeff"),
-        ("symfunc.py", "_int_column_sum"),
+        ("symfunc.py", "_column_sum"),
         ("symfunc.py", "_p_in_h"),
         ("symfunc.py", "_p_in_m"),
         ("symfunc.py", "_p_in_s"),

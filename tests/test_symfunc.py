@@ -209,11 +209,14 @@ def test_h_and_m_expansions_match_hall_duality_property(combination):
 
 
 def test_h_e_m_conversion_skips_the_p_expansion_memos():
+    # Every conversion out of p reads one integer column per power-sum
+    # term of f and builds no basis element on the way.
     f = s(4, 3, 2) + Fraction(1, 2) * p(9) - h(5, 4)
     symfrob.clear_caches()
-    for basis in ("h", "e", "m"):
+    for basis in ("h", "e", "m", "s"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
+    assert stats["symfrob.symfunc._p_in_s"]["entries"] == len(f.support())
     for memo in ("_basis_element", "_set_partition_sum"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
@@ -224,7 +227,14 @@ INTEGRAL_BASES = ("m", "e", "h", "s")
 def assert_integer_reader_matches(f, integral_in=()):
     """to_basis_int(f, b) is the ints of the rational reader to_basis(f, b)
     in every basis b, and raises IntegralityError where one is not an int.
-    In the bases of integral_in every coefficient must be an int."""
+    In the bases of integral_in every coefficient must be an int.
+
+    Both readers sum along the same columns, ``_p_in_s`` in s included,
+    so this checks the int feed against the rational one, not a column
+    against a second route. The columns' independent references are
+    ``_hall_dual_expansion`` in ``test_h_and_m_expansions_match_hall_duality``
+    and its ``_property`` variant (s, series and rational coefficients),
+    and ``test_transforms_and_conversions_match_pinned_digest``."""
     for basis in BASES:
         rational = to_basis(f, basis)
         if all(c.denominator == 1 for c in rational.values()):
