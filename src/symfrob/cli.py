@@ -46,10 +46,10 @@ from .symfunc import (
 # The syntax tree is made of tagged tuples, which compare by tag and
 # fields, hash, pickle and stay immutable as they are:
 #   ("int", value)             ("atom", basis, index)
-#   ("pow", atom, exponent)    ("paren", inner)
-#   ("prod", factors)          ("sum", ((sign, node), ...))
+#   ("pow", atom, exponent)    ("prod", factors)
+#   ("sum", ((sign, node), ...))
 # A prod has at least two factors, and a sum at least two terms, the
-# first signed "+".
+# first signed "+". Parentheses only group: "(x)" parses to the node of x.
 
 
 class ExprError(ValueError):
@@ -119,7 +119,7 @@ class _ExprParser:
             self.pos += 1
             inner = self.expr()
             self.expect(")")
-            return ("paren", inner)
+            return inner
         if "0" <= ch <= "9":
             return ("int", self.uint())
         if ch in BASES:
@@ -161,27 +161,6 @@ def parse_expr(text: str, sort_indices: bool = False):
         raise ExprError("expression nests too deeply", parser.pos) from None
 
 
-def format_expr(node) -> str:
-    """Render a syntax tree back to source text (parse of the result round-trips)."""
-    match node:
-        case ("int", value):
-            return str(value)
-        case ("atom", basis, index):
-            return basis + "[" + ",".join(str(p) for p in index) + "]"
-        case ("pow", atom, exponent):
-            return format_expr(atom) + "^" + str(exponent)
-        case ("paren", inner):
-            return "(" + format_expr(inner) + ")"
-        case ("prod", factors):
-            return "*".join(format_expr(f) for f in factors)
-        case ("sum", terms):
-            out = format_expr(terms[0][1])
-            for sign, term in terms[1:]:
-                out += f" {sign} " + format_expr(term)
-            return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def evaluate_expr(node) -> SymFunc:
     """Evaluate a syntax tree to an exact symmetric function."""
     match node:
@@ -191,8 +170,6 @@ def evaluate_expr(node) -> SymFunc:
             return from_basis(basis, index)
         case ("pow", atom, exponent):
             return evaluate_expr(atom) ** exponent
-        case ("paren", inner):
-            return evaluate_expr(inner)
         case ("prod", factors):
             out = SymFunc.one()
             for factor in factors:

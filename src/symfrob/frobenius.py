@@ -318,25 +318,15 @@ def fsurinv_p_direct(lam) -> SymFunc:
 # -- word formulas for the inverse ------------------------------------------
 
 
-def _words_with_content(alpha):
-    """All words over [len(alpha)] whose letter i appears alpha[i-1] times."""
-    counts = list(alpha)
-    total = sum(counts)
-    word: list = []
-
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1]:
-                counts[letter - 1] -= 1
-                word.append(letter)
-                yield from rec()
-                word.pop()
-                counts[letter - 1] += 1
-
-    yield from rec()
+def _words_with_content(counts):
+    """Every word over [len(counts)] whose letter i appears counts[i-1]
+    times, each once, in lexicographic order."""
+    if not any(counts):
+        yield ()
+    for letter, count in enumerate(counts, 1):
+        if count:
+            rest = counts[: letter - 1] + (count - 1,) + counts[letter:]
+            yield from ((letter,) + word for word in _words_with_content(rest))
 
 
 def fsurinv_e_words(alpha) -> SymFunc:
@@ -359,11 +349,34 @@ def fsurinv_e_words(alpha) -> SymFunc:
 
 def fsurinv_h_direct(r: int) -> SymFunc:
     """fsurinv of a single complete homogeneous function: the sum over k of
-    h_(r-2k) times (-1)^k e_k, the x^r coefficient of H(x) Emin(x^2)."""
-    return _assignment_sum((_count(r),), [("H", (1,)), ("Emin", (2,))])
+    h_(r-2k) times (-1)^k e_k, the x^r coefficient of H(x) Emin(x^2), the
+    one-variable "product" identity of ``genfunc_identity_check``."""
+    r = _count(r)
+    return _assignment_sum((r,), _lyndon_factors(1, r, "product"))
 
 
 # -- generating function identities ------------------------------------------
+
+
+def _lyndon_factors(num_vars: int, bound: int, which: str) -> list:
+    """The (series name, content vector) factors of the right side of a
+    word identity (``genfunc_identity_check``) through x-degree bound.
+
+    One factor per Lyndon word w over [num_vars] of length <= bound: Emin
+    along the content of w for "reciprocal", H for "product"; "product"
+    adds Emin along each Lyndon word over the pair alphabet [num_vars]^2
+    of length <= bound // 2, a pair (i, j) adding one to the exponent of
+    each of i and j.
+    """
+    if which not in ("reciprocal", "product"):
+        raise ValueError(f"unknown identity {which!r}")
+    name = "Emin" if which == "reciprocal" else "H"
+    pairs = [(name, content_vector(w, num_vars)) for w in lyndon_words(num_vars, bound)]
+    if which == "product":
+        pair_alphabet = list(product(range(1, num_vars + 1), repeat=2))
+        for w in lyndon_words(pair_alphabet, bound // 2):
+            pairs.append(("Emin", content_vector([i for pair in w for i in pair], num_vars)))
+    return pairs
 
 
 def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
@@ -377,20 +390,11 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
     num_vars commuting variables with symmetric function coefficients,
     compared at every x^alpha with |alpha| <= ``bound``. Each factor of
     the right side is one standard series, H or its inverse Emin, laid
-    along a word's content vector, so its x^alpha coefficient is
-    ``_assignment_sum`` over the words' (series, content vector) pairs.
+    along a word's content vector (``_lyndon_factors``), so its x^alpha
+    coefficient is ``_assignment_sum`` over those factors.
     """
     num_vars, bound = _count(num_vars, 1), _count(bound, 1)
-    if which not in ("reciprocal", "product"):
-        raise ValueError(f"unknown identity {which!r}")
-    name = "Emin" if which == "reciprocal" else "H"
-    pairs = [(name, content_vector(w, num_vars)) for w in lyndon_words(num_vars, bound)]
-    if which == "product":
-        pair_alphabet = list(product(range(1, num_vars + 1), repeat=2))
-        for w in lyndon_words(pair_alphabet, bound // 2):
-            # A pair (i, j) adds one to the exponent of each of i and j.
-            pairs.append(("Emin", content_vector([i for pair in w for i in pair], num_vars)))
-
+    pairs = _lyndon_factors(num_vars, bound, which)
     for alpha in product(range(bound + 1), repeat=num_vars):
         if sum(alpha) > bound:
             continue
@@ -575,22 +579,23 @@ def _e_values_at_unity(rho) -> tuple:
     return tuple(coeffs)
 
 
-def _schur_at_unity(lam_t, rho) -> int:
-    """Schur function of lam evaluated at the eigenvalues attached to rho.
+def _jacobi_trudi(parts, values) -> int:
+    """The Jacobi-Trudi determinant det(v_(parts_i - i + j)), i, j <
+    len(parts), of the value sequence v_r = values[r], 0 outside
+    0 <= r < len(values).
 
-    Takes lam_t = lam'. Dual Jacobi-Trudi determinant det(e_{lam'_i - i +
-    j}) in the elementary values of rho, of side lam_1, taken by Bareiss
-    fraction-free elimination: O(lam_1^3) integer steps, each division
-    exact, a row swap flipping the sign. Not memoized: a search evaluates
-    each (lam, rho) pair once.
+    With parts = lam' and the e values of a specialization it is s_lam
+    there (the dual Jacobi-Trudi identity, Macdonald I.3.5). Taken by
+    Bareiss fraction-free elimination: O(len(parts)^3) integer steps,
+    each division exact, a row swap flipping the sign. Not memoized: a
+    search evaluates each (lam, rho) pair once.
     """
-    m = len(lam_t)
+    m = len(parts)
     if m == 0:
         return 1
-    values = _e_values_at_unity(rho)
     rows = [
         [values[r] if 0 <= r < len(values) else 0 for r in range(part - i, part - i + m)]
-        for i, part in enumerate(lam_t)
+        for i, part in enumerate(parts)
     ]
     sign, previous = 1, 1
     for k in range(m - 1):
@@ -622,7 +627,7 @@ def restriction_coeff_eval(lam, mu) -> int:
     lam, mu = as_partition(lam), as_partition(mu)
     nums, den = _int_expansion(from_basis("s", mu), "p")
     lam_t = conjugate(lam)
-    total = sum(c * _schur_at_unity(lam_t, rho) for rho, c in nums.items())
+    total = sum(c * _jacobi_trudi(lam_t, _e_values_at_unity(rho)) for rho, c in nums.items())
     value, remainder = divmod(total, den)
     if remainder:
         raise IntegralityError(f"r coefficient for {lam}, {mu} is {Fraction(total, den)}")

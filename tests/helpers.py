@@ -15,7 +15,8 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from symfrob.frobenius import fsur, fsurinv
+from symfrob.frobenius import _words_with_content, fsur, fsurinv
+from symfrob.lyndon import pi_of_word
 from symfrob.partitions import (
     _PART_ENTRIES,
     canonical_key,
@@ -309,26 +310,18 @@ def dual_jacobi_trudi(lam):
     return total
 
 
-def words_with_content(letters, counts):
-    """All words using letters[i] exactly counts[i] times."""
-    letters = list(letters)
-    counts = list(counts)
-    word = []
-    total = sum(counts)
+def zero_free_prefix_sum(lam, k):
+    """The paper's word side of fsurinv(e_lam e_1^k).
 
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for i, letter in enumerate(letters):
-            if counts[i]:
-                counts[i] -= 1
-                word.append(letter)
-                yield from rec()
-                word.pop()
-                counts[i] += 1
-
-    yield from rec()
+    Over the words with k letters 1 and lam_i letters i + 1, the sum of
+    (-1)^(|lam| - |pi|) e_pi, pi the Lyndon multiplicity partition of the
+    prefix before the first 1, times e_1 (e_1 - 1) ... (e_1 - k + 1).
+    """
+    total = SymFunc.zero()
+    for w in _words_with_content((k, *lam)):
+        pi = pi_of_word(w[: w.index(1)] if 1 in w else w)
+        total = total + from_basis("e", pi) * (-1) ** (sum(lam) - sum(pi))
+    return total * falling_factorial_e1(k)
 
 
 def canonical_listing(label, terms):

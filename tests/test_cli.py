@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symfrob.cli import SUITES, ExprError, evaluate_expr, format_expr, main, parse_expr
+from symfrob.cli import SUITES, ExprError, evaluate_expr, main, parse_expr
 from symfrob.frobenius import fsur
 from symfrob.symfunc import BASES, from_basis, from_serializable, to_serializable
 
@@ -45,10 +45,11 @@ def test_parse_precedence():
 def test_parse_parentheses():
     tree = parse_expr("(h[1] + h[2]) * h[1]")
     assert tree[0] == "prod"
-    assert tree[1][0][0] == "paren"
     value = evaluate_expr(tree)
     want = (from_basis("h", (1,)) + from_basis("h", (2,))) * from_basis("h", (1,))
     assert value == want
+    assert evaluate_expr(parse_expr("h[1] + h[2] * h[1]")) != want
+    assert parse_expr("((h[1]))") == parse_expr("h[1]")
 
 
 def test_parse_rejects_non_partition():
@@ -72,6 +73,29 @@ def test_parse_error_positions():
         parse_expr("2 2")
 
 
+def render(node) -> str:
+    """Source text for a syntax tree; a sum or product inside another node
+    is parenthesized, so parsing the text gives the tree back."""
+    match node:
+        case ("int", value):
+            return str(value)
+        case ("atom", basis, index):
+            return basis + "[" + ",".join(str(p) for p in index) + "]"
+        case ("pow", atom, exponent):
+            return render(atom) + "^" + str(exponent)
+        case ("prod", factors):
+            return "*".join(map(render_inner, factors))
+        case ("sum", terms):
+            return render_inner(terms[0][1]) + "".join(
+                f" {sign} " + render_inner(term) for sign, term in terms[1:]
+            )
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def render_inner(node) -> str:
+    return f"({render(node)})" if node[0] in ("prod", "sum") else render(node)
+
+
 def test_format_round_trip():
     for text in (
         "h[2,2]",
@@ -81,7 +105,7 @@ def test_format_round_trip():
         "m[4,1]*p[2]^3 - 7",
     ):
         tree = parse_expr(text)
-        assert parse_expr(format_expr(tree)) == tree
+        assert parse_expr(render(tree)) == tree
 
 
 _ATOMS = st.tuples(st.just("atom"), st.sampled_from(BASES), partition_up_to(4))
@@ -94,7 +118,7 @@ _PLAIN_FACTORS = st.one_of(
 
 def _expressions(inner):
     """Trees in the shape the parser builds: sums of products of factors."""
-    factor = st.one_of(_PLAIN_FACTORS, st.tuples(st.just("paren"), inner))
+    factor = st.one_of(_PLAIN_FACTORS, inner)
     term = st.one_of(
         factor, st.lists(factor, min_size=2, max_size=3).map(lambda fs: ("prod", tuple(fs)))
     )
@@ -110,12 +134,12 @@ def _expressions(inner):
 @settings(max_examples=60, deadline=None)
 @given(tree=st.recursive(_PLAIN_FACTORS, _expressions, max_leaves=12))
 def test_format_round_trip_property(tree):
-    assert parse_expr(format_expr(tree)) == tree
+    assert parse_expr(render(tree)) == tree
 
 
 def test_node_value_semantics():
     # Nodes with different tags never compare equal, even with equal fields.
-    assert ("int", 2) != ("paren", 2)
+    assert ("int", 2) != ("atom", 2)
     assert ("prod", (("int", 2),)) != ("sum", (("int", 2),))
     assert ("int", 2) != 2
     # Equal nodes hash equal, so nodes work as dict keys and set members.

@@ -2,7 +2,8 @@ import json
 import random
 import types
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from symfrob.frobenius import (
     COEFF_KINDS,
     _assignment_sum,
     _e_values_at_unity,
+    _lyndon_factors,
+    _words_with_content,
     _pleth_coeff,
     coeff,
     coeff_table,
@@ -39,7 +42,7 @@ from symfrob.frobenius import (
     vanishing_check,
     witness_search,
 )
-from symfrob.lyndon import content_vector, lyndon_words, witt_count
+from symfrob.lyndon import lyndon_words, witt_count
 from symfrob.oracles import eval_at_unity, frobenius_via_roots, power_value_at_unity
 from symfrob.partitions import (
     conjugate,
@@ -75,7 +78,7 @@ from helpers import (
     partition_up_to,
     random_symfunc,
     transforms_and_conversions_digest,
-    words_with_content,
+    zero_free_prefix_sum,
 )
 
 
@@ -550,6 +553,16 @@ def test_direct_formulas_accept_compositions():
 # -- word formulas ---------------------------------------------------------------------
 
 
+def test_words_with_content_lists_each_word_once_in_order():
+    # Every word of the content once, in lexicographic order: the distinct
+    # permutations of its sorted word, a multinomial number of them.
+    for counts in ((), (0,), (3,), (2, 1), (1, 0, 2), (2, 2, 1), (1, 1, 1, 1), (0, 3, 2)):
+        first = tuple(letter for letter, c in enumerate(counts, 1) for _ in range(c))
+        words = list(_words_with_content(counts))
+        assert words == sorted(set(permutations(first))), counts
+        assert len(words) == factorial(sum(counts)) // prod(map(factorial, counts)), counts
+
+
 def test_fsurinv_e_words_examples():
     assert fsurinv_e_words((2,)) == e(2)
     assert fsurinv_e_words((1, 1)) == e(1, 1) - e(1)
@@ -652,10 +665,30 @@ def test_word_sum_is_the_lyndon_multiset_sum():
             size = sum(alpha)
             if not 1 <= size <= 6:
                 continue
-            pairs = [("Emin", content_vector(w, ell)) for w in lyndon_words(ell, size)]
+            pairs = _lyndon_factors(ell, size, "reciprocal")
             assert (-1) ** size * fsurinv_e_words(alpha) == _assignment_sum(alpha, pairs), alpha
             checked += 1
     assert checked == 116
+
+
+def test_lyndon_factors_hold_one_vector_per_lyndon_word():
+    # One H or Emin factor per Lyndon word over [l] of length <= bound, laid
+    # along its content; "product" adds one Emin per Lyndon word over the
+    # pair alphabet [l]^2 of length <= bound // 2, of twice its length.
+    for ell in (1, 2, 3):
+        for bound in range(1, 6):
+            words = sum(witt_count(ell, n) for n in range(1, bound + 1))
+            pair_words = sum(witt_count(ell**2, n) for n in range(1, bound // 2 + 1))
+            reciprocal = _lyndon_factors(ell, bound, "reciprocal")
+            direct = _lyndon_factors(ell, bound, "product")
+            assert [name for name, _ in reciprocal] == ["Emin"] * words
+            assert [name for name, _ in direct] == ["H"] * words + ["Emin"] * pair_words
+            assert [v for _, v in direct[:words]] == [v for _, v in reciprocal]
+            assert all(len(v) == ell and 1 <= sum(v) <= bound for _, v in reciprocal)
+            assert all(sum(v) % 2 == 0 and sum(v) <= bound for _, v in direct[words:])
+    assert _lyndon_factors(1, 4, "product") == [("H", (1,)), ("Emin", (2,))]
+    with pytest.raises(ValueError, match="unknown identity"):
+        _lyndon_factors(1, 3, "unknown")
 
 
 def test_assignment_sum_recurses_once_per_factor():
@@ -1142,7 +1175,7 @@ def test_witness_search_memoizes_per_class_not_per_pair():
         found, growth = memo_growth(lambda: witness_search(mu, 2))
         assert found is None
         stats = symfrob.cache_stats()
-        assert "symfrob.frobenius._schur_at_unity" not in stats
+        assert "symfrob.frobenius._jacobi_trudi" not in stats
         assert 0 < stats["symfrob.frobenius._e_values_at_unity"]["entries"] <= classes
         read = sum(len(partitions_of(size, max_part=2)) for size in range(2 * sum(mu) + 1))
         assert max(growth.values()) < read, (mu, read, growth)
@@ -1184,21 +1217,6 @@ def test_tilde_s():
 # -- remaining word corollaries ----------------------------------------------------------------------
 
 
-def _longest_zero_free_prefix(w):
-    out = []
-    for letter in w:
-        if letter == 0:
-            break
-        out.append(letter)
-    return tuple(out)
-
-
-def _pi(word):
-    from symfrob.lyndon import pi_of_word
-
-    return pi_of_word(word)
-
-
 def test_fsurinv_e_prod_formula():
     # product formula with the longest zero-free prefix statistic
     for lam in partitions_up_to(4):
@@ -1206,17 +1224,7 @@ def test_fsurinv_e_prod_formula():
             if sum(lam) + k > 6:
                 continue
             left = fsurinv(from_basis("e", lam) * e(1) ** k)
-            ell = len(lam)
-            letters = list(range(0, ell + 1))
-            counts = [k] + list(lam)
-            total = SymFunc.zero()
-            for w in words_with_content(letters, counts):
-                prefix = _longest_zero_free_prefix(w)
-                pi = _pi(prefix)
-                sign = (-1) ** ((sum(lam) - sum(pi)) % 2)
-                total = total + from_basis("e", pi) * sign
-            right = total * falling_factorial_e1(k)
-            assert left == right, (lam, k)
+            assert left == zero_free_prefix_sum(lam, k), (lam, k)
 
 
 def test_divisibility_corollary():

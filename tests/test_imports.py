@@ -6,9 +6,10 @@ SymFunc's numerator form, only SymFunc._build builds one without
 __init__, package code calls the validating constructor only for a
 scalar and in the roots oracle, the oracle imports no transform engine,
 only the integer column kernels name partition ids, no verify
-suite defines a closure, the CLI loads no standard library module beyond
-what its own imports need, every symfrob name the benchmark binds exists,
-and every source line the benchmark self-test patches occurs once."""
+suite defines a closure, one function takes fraction-free elimination
+steps, the CLI loads no standard library module beyond what its own
+imports need, every symfrob name the benchmark binds exists, and every
+source line the benchmark self-test patches occurs once."""
 
 import ast
 import importlib
@@ -560,6 +561,63 @@ def test_engine_import_is_reported():
         "from symfrob.symfunc import SymFunc\n"
     )
     assert engine_imports(source) == [5, 6, 7, 8, 9]
+
+
+def _is_bareiss_step(node) -> bool:
+    """A floor division whose dividend is a difference of two products: the
+    2x2 minor of a Bareiss step divided by the previous pivot."""
+    minor = getattr(node, "left", None)
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and isinstance(minor, ast.BinOp)
+        and isinstance(minor.op, ast.Sub)
+        and all(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            for side in (minor.left, minor.right)
+        )
+    )
+
+
+def fraction_free_eliminations(sources: dict) -> list:
+    """(module, definition) of each top-level function or class, or
+    "<module>" for any other top-level statement, that takes a Bareiss step."""
+    found = set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if any(_is_bareiss_step(node) for node in ast.walk(statement)):
+                found.add((module, getattr(statement, "name", "<module>")))
+    return sorted(found)
+
+
+def test_one_fraction_free_elimination():
+    # Every Schur evaluation is one Jacobi-Trudi determinant of a value
+    # sequence; a new specialization feeds that kernel its values instead
+    # of eliminating on its own.
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert fraction_free_eliminations(sources) == [("frobenius.py", "_jacobi_trudi")]
+
+
+def test_fraction_free_elimination_is_reported():
+    source = (
+        "def det(rows, k, previous):\n"
+        "    for row in rows:\n"
+        "        row[1] = (row[1] * rows[k][k] - row[k] * rows[k][1]) // previous\n"
+        "\n"
+        "class M:\n"
+        "    def step(self, a, b, c, d, p):\n"
+        "        return (a * b - c * d) // p\n"
+        "\n"
+        "def clean(a, b, c, d):\n"
+        "    return (a - b) // 2 + a * b // c + (a * b + c * d) // 2 + (a * b - c) // d\n"
+        "\n"
+        "X = (1 * 2 - 3 * 4) // 5\n"
+    )
+    assert fraction_free_eliminations({"a.py": source}) == [
+        ("a.py", "<module>"),
+        ("a.py", "M"),
+        ("a.py", "det"),
+    ]
 
 
 def test_cli_import_budget():
