@@ -47,15 +47,13 @@ from types import MappingProxyType
 from .lyndon import content_vector, lyndon_words, pi_of_word
 from .partitions import (
     _PART_ENTRIES,
+    _conjugate,
     _count,
     _integers,
     _part_id,
     as_partition,
-    conjugate,
     divisors,
     durfee,
-    hat,
-    intersect,
     mobius,
     multiset_union,
     partition_from_composition,
@@ -66,6 +64,7 @@ from .symfunc import (
     IntegralityError,
     InternalCheckError,
     SymFunc,
+    _basis_element,
     _check_elements,
     _int_column_sum,
     _int_expansion,
@@ -210,7 +209,7 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
         for nu in partitions_of(m):
             skewed = skew(_schur_plethysm(nu, degree), f)
             if not skewed.is_zero:
-                summands.append((1, from_basis("s", nu) * skewed))
+                summands.append((1, _basis_element("s", nu) * skewed))
     return _linear_combination(summands)
 
 
@@ -343,7 +342,7 @@ def fsurinv_e_words(alpha) -> SymFunc:
         pi = pi_of_word(w)
         collected[pi] += (-1) ** (total - sum(pi))
     return _linear_combination(
-        [(c, from_basis("e", pi)) for pi, c in collected.items() if c]
+        [(c, _basis_element("e", pi)) for pi, c in collected.items() if c]
     )
 
 
@@ -400,9 +399,9 @@ def genfunc_identity_check(num_vars: int, bound: int, which: str) -> bool:
             continue
         index = partition_from_composition(alpha)
         if which == "reciprocal":
-            lhs = fsurinv(from_basis("e", index)) * ((-1) ** sum(alpha))
+            lhs = fsurinv(_basis_element("e", index)) * ((-1) ** sum(alpha))
         else:
-            lhs = fsurinv(from_basis("h", index))
+            lhs = fsurinv(_basis_element("h", index))
         if lhs != _assignment_sum(alpha, pairs):
             return False
     return True
@@ -446,14 +445,14 @@ def _column(kind: str, lam):
     """
     if kind in ("t", "u"):
         transform = fsur if kind == "t" else fsurinv
-        return MappingProxyType(to_basis_int(transform(from_basis("s", lam)), "s"))
+        return MappingProxyType(to_basis_int(transform(_basis_element("s", lam)), "s"))
     column: dict = {}
     if kind == "a":
         for nu, value in _column("t", lam).items():
             for mu in _horizontal_strips(nu):
                 column[mu] = column.get(mu, 0) + value
     else:
-        for kappa in map(conjugate, _horizontal_strips(conjugate(lam))):
+        for kappa in map(_conjugate, _horizontal_strips(_conjugate(lam))):
             sign = (-1) ** (sum(lam) - sum(kappa))
             for mu, value in _column("u", kappa).items():
                 column[mu] = column.get(mu, 0) + sign * value
@@ -552,14 +551,14 @@ def vanishing_check(kind: str, lam, mu) -> bool:
         raise ValueError(f"unknown vanishing kind {kind!r}")
     if kind == "length-bound":
         return len(lam) <= sum(mu)
-    target = hat(mu) if kind == "r-bound" else mu
-    overlap = sum(intersect(lam, target))
+    target = mu[1:] if kind == "r-bound" else mu
+    overlap = sum(map(min, lam, target))
     return overlap >= 2 * sum(target) - sum(lam)
 
 
 def durfee_criterion(mu, k: int) -> bool:
     """Whether the Durfee square of mu is at most 2^(k-1)."""
-    return durfee(as_partition(mu)) <= 2 ** (_count(k, 1) - 1)
+    return durfee(mu) <= 2 ** (_count(k, 1) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -619,14 +618,21 @@ def restriction_coeff_eval(lam, mu) -> int:
     r_lam^mu = dim Hom(V_mu, S^lam K^n), n = |mu|, is the sum over the
     classes rho of S_n of [p_rho] s_mu times s_lam at the eigenvalues of
     rho (Macdonald I.7.8): s_mu's p row is read over its denominator, the
-    int total divided once. Used by the witness search where the
+    int total divided once. The witness search reads it where the
     transform route would need degree up to k*|mu|. The route memoizes
     one e-value table per class rho and nothing per (lam, mu) or (lam,
-    rho) pair.
+    rho) pair. This front validates lam and mu and hands them to
+    ``_restriction_coeff_eval``, which the search calls directly.
     """
-    lam, mu = as_partition(lam), as_partition(mu)
-    nums, den = _int_expansion(from_basis("s", mu), "p")
-    lam_t = conjugate(lam)
+    return _restriction_coeff_eval(as_partition(lam), as_partition(mu))
+
+
+def _restriction_coeff_eval(lam: tuple, mu: tuple) -> int:
+    """``restriction_coeff_eval`` on partitions already validated as
+    canonical tuples; it validates nothing, so a search over generated
+    lam leaves no trace in the validation memo."""
+    nums, den = _int_expansion(_basis_element("s", mu), "p")
+    lam_t = _conjugate(lam)
     total = sum(c * _jacobi_trudi(lam_t, _e_values_at_unity(rho)) for rho, c in nums.items())
     value, remainder = divmod(total, den)
     if remainder:
@@ -648,20 +654,22 @@ def witness_search(mu, k: int):
     bound is loose: in the k=2 sweep of every |mu| <= 12 (254 witnesses,
     18 None) the largest witness is 11/24 of k*|mu|, at mu = (1^12), and
     every witness has |lam| <= |mu| - 1; a None still searches it all.
-    Each lam is one ``restriction_coeff_eval``: a determinant of side
-    lam_1 <= k per class of S_|mu|, read from that class's memoized
-    e-value table; no (lam, mu) or (lam, rho) pair is kept. At k = 3 the
-    tight case (4,4,4,4) gives (3,3,3,3,3), and (5,5,5,5,5) reads all
-    13,429 lam against 589 classes to answer None. k = 4 is out of reach
-    by characters: its tight case (8^8) needs |mu| = 64, with p(64) =
-    1,741,630 classes, and its first vanishing case (9^9) needs |mu| = 81,
-    with p(81) = 18,004,327.
+    Each lam is one ``_restriction_coeff_eval``, the unvalidated core of
+    ``restriction_coeff_eval``: the search generates canonical lam, so it
+    skips the validation memo, which keeps no entry per lam read. Each is
+    a determinant of side lam_1 <= k per class of S_|mu|, read from that
+    class's memoized e-value table; no (lam, mu) or (lam, rho) pair is
+    kept. At k = 3 the tight case (4,4,4,4) gives (3,3,3,3,3), and
+    (5,5,5,5,5) reads all 13,429 lam against 589 classes to answer None.
+    k = 4 is out of reach by characters: its tight case (8^8) needs |mu|
+    = 64, with p(64) = 1,741,630 classes, and its first vanishing case
+    (9^9) needs |mu| = 81, with p(81) = 18,004,327.
     """
     mu = as_partition(mu)
     k = _count(k, 1)
     for size in range(k * sum(mu) + 1):
         for lam in partitions_of(size, max_part=k):
-            if restriction_coeff_eval(lam, mu) > 0:
+            if _restriction_coeff_eval(lam, mu) > 0:
                 return lam
     return None
 
@@ -671,7 +679,7 @@ def witness_search(mu, k: int):
 
 def tilde_h(lam) -> SymFunc:
     """Inverse transform of a complete homogeneous product."""
-    return fsurinv(from_basis("h", as_partition(lam)))
+    return fsurinv(from_basis("h", lam))
 
 
 def tilde_s(lam) -> SymFunc:

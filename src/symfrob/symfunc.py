@@ -391,18 +391,26 @@ def _border_strip_sum(mask: int, mu) -> int:
 
 
 @lru_cache(maxsize=None)
+def _s_rows(n: int) -> tuple:
+    """(bead mask, id) of each lam of n, in ``partitions_of`` order: what
+    every Schur column of degree n reads per lam, computed once."""
+    return tuple((_beta_mask(lam), _part_id(lam)) for lam in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
 def _p_in_s(nu) -> tuple:
     """p_nu in the s basis, as (id of lam, int) pairs.
 
     p_nu is the sum over lam of |nu| of chi_lam(nu) s_lam (Macdonald
-    I.7.8), each character read from ``_border_strip_sum``; the lam with
-    chi_lam(nu) = 0 are left out. Each lam is keyed by its partition id.
+    I.7.8), each character read from ``_border_strip_sum`` at the bead
+    mask of lam (``_s_rows``); the lam with chi_lam(nu) = 0 are left
+    out. Each lam is keyed by its partition id.
     """
     out = []
-    for lam in partitions_of(sum(nu)):
-        chi = _border_strip_sum(_beta_mask(lam), nu)
+    for mask, pid in _s_rows(sum(nu)):
+        chi = _border_strip_sum(mask, nu)
         if chi:
-            out.append((_part_id(lam), chi))
+            out.append((pid, chi))
     return tuple(out)
 
 

@@ -1218,13 +1218,13 @@ def test_tilde_s():
 
 
 def test_fsurinv_e_prod_formula():
-    # product formula with the longest zero-free prefix statistic
-    for lam in partitions_up_to(4):
-        for k in range(0, 5):
-            if sum(lam) + k > 6:
-                continue
-            left = fsurinv(from_basis("e", lam) * e(1) ** k)
-            assert left == zero_free_prefix_sum(lam, k), (lam, k)
+    # product formula with the longest zero-free prefix statistic, at
+    # |lam| + k = 7 with k >= 1: acceptance criterion 10 checks every pair
+    # with |lam| + k <= 6
+    for lam in partitions_up_to(6):
+        k = 7 - sum(lam)
+        left = fsurinv(from_basis("e", lam) * e(1) ** k)
+        assert left == zero_free_prefix_sum(lam, k), (lam, k)
 
 
 def test_divisibility_corollary():

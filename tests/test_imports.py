@@ -206,7 +206,7 @@ def test_partition_ids_stay_in_the_column_kernels():
         ("symfunc.py", "_column_sum"),
         ("symfunc.py", "_p_in_h"),
         ("symfunc.py", "_p_in_m"),
-        ("symfunc.py", "_p_in_s"),
+        ("symfunc.py", "_s_rows"),
     ]
 
 

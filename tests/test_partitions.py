@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symfrob
 from symfrob.frobenius import coeff, fsur_h_direct
@@ -48,6 +50,88 @@ def test_as_partition_validates():
     for parts in ([True], [2, True], [False]):
         with pytest.raises(ValueError, match="parts must be integers"):
             as_partition(parts)
+
+
+class _Part(int):
+    """An int subclass, which a partition may not hold as it is."""
+
+
+_VALUES = st.integers(-2, 6)
+# Entries of every kind as_partition meets: ints, zero or negative parts,
+# bools, integral and non-integral floats, nan and inf, int subclasses.
+_ENTRY = st.one_of(
+    _VALUES,
+    st.booleans(),
+    _VALUES.map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _VALUES.map(_Part),
+)
+# Sequences of those entries, canonical runs and increasing runs, each
+# as a list or a tuple.
+_SEQUENCE = st.one_of(
+    st.lists(_ENTRY, max_size=5),
+    st.lists(st.integers(1, 6), max_size=5).map(lambda run: sorted(run, reverse=True)),
+    st.lists(st.integers(-1, 6), min_size=2, max_size=5).map(sorted),
+)
+_PARTS = st.one_of(_SEQUENCE, _SEQUENCE.map(tuple))
+
+
+def _outcome(parts):
+    """as_partition's result, checked to hold exact ints, or its error text."""
+    try:
+        lam = as_partition(parts)
+    except ValueError as exc:
+        return str(exc)
+    assert type(lam) is tuple and all(type(p) is int for p in lam), lam
+    return lam
+
+
+def _int_twin(parts):
+    """The tuple of ints equal entry by entry to parts, or None."""
+    try:
+        twin = tuple(int(p) for p in parts)
+    except (ValueError, OverflowError):
+        return None
+    return twin if twin == tuple(parts) else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.lists(_PARTS, max_size=6))
+def test_warm_path_admits_exactly_what_the_cold_path_admits(inputs):
+    # Cold: the validation memo is empty at each call. Warm: the int
+    # tuple equal to every input has been validated first, so an input
+    # that hashes and compares equal to a memo entry must still give the
+    # cold result.
+    cold = []
+    for parts in inputs:
+        symfrob.clear_caches()
+        cold.append(_outcome(parts))
+    for parts in inputs:
+        twin = _int_twin(parts)
+        if twin is not None:
+            _outcome(twin)
+    assert [_outcome(parts) for parts in inputs] == cold
+
+
+def test_warm_memo_admits_no_equal_non_int():
+    symfrob.clear_caches()
+    assert as_partition((1,)) == (1,)
+    with pytest.raises(ValueError, match="parts must be integers"):
+        as_partition((True,))
+    lam = (2, 1)
+    assert as_partition(lam) is lam
+    for parts in ((2.0, 1), (2, 1.0), (_Part(2), 1)):
+        got = as_partition(parts)
+        assert got == (2, 1) and [type(p) for p in got] == [int, int], parts
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        as_partition((1, 2))
+    with pytest.raises(ValueError, match="positive"):
+        as_partition((2, 0))
+    # The memo is in the cache layer: named by cache_stats, emptied by
+    # clear_caches. It holds the int tuples (1,), (2, 1), (1, 2), (2, 0).
+    assert symfrob.cache_stats()["symfrob.partitions._is_canonical"]["entries"] == 4
+    symfrob.clear_caches()
+    assert symfrob.cache_stats()["symfrob.partitions._is_canonical"]["entries"] == 0
 
 
 def test_count_rejects_booleans():
