@@ -54,6 +54,8 @@ from .partitions import (
     as_partition,
     divisors,
     durfee,
+    hat,
+    intersect,
     mobius,
     multiset_union,
     partition_from_composition,
@@ -551,14 +553,14 @@ def vanishing_check(kind: str, lam, mu) -> bool:
         raise ValueError(f"unknown vanishing kind {kind!r}")
     if kind == "length-bound":
         return len(lam) <= sum(mu)
-    target = mu[1:] if kind == "r-bound" else mu
-    overlap = sum(map(min, lam, target))
+    target = hat(mu) if kind == "r-bound" else mu
+    overlap = sum(intersect(lam, target))
     return overlap >= 2 * sum(target) - sum(lam)
 
 
 def durfee_criterion(mu, k: int) -> bool:
     """Whether the Durfee square of mu is at most 2^(k-1)."""
-    return durfee(mu) <= 2 ** (_count(k, 1) - 1)
+    return durfee(as_partition(mu)) <= 2 ** (_count(k, 1) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -679,7 +681,7 @@ def witness_search(mu, k: int):
 
 def tilde_h(lam) -> SymFunc:
     """Inverse transform of a complete homogeneous product."""
-    return fsurinv(from_basis("h", lam))
+    return fsurinv(from_basis("h", as_partition(lam)))
 
 
 def tilde_s(lam) -> SymFunc:

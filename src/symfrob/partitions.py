@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import ge
 
-# The one element type a partition tuple may hold as it is.
+# The one element type a partition may hold as it is.
 _INT = frozenset((int,))
 
 
@@ -25,7 +25,7 @@ def _integers(parts) -> tuple:
         raw = tuple(parts)
     except TypeError:
         raise ValueError(f"parts must be integers, got {parts!r}") from None
-    if {*map(type, raw)} <= _INT:
+    if _INT.issuperset(map(type, raw)):
         return raw
     try:
         out = tuple(map(int, raw))
@@ -61,32 +61,25 @@ def _decimal(text, name) -> int:
 def as_partition(parts) -> tuple:
     """Validate *parts* as a partition and return it as a tuple.
 
-    A tuple of exact ints (bools, floats and int subclasses excluded) is
-    checked once: ``_is_canonical`` memoizes the check per tuple, so a
-    warm call costs a scan of the element types and one memo hit, and a
-    canonical tuple returns as it is. The type scan comes first because
-    (True,) == (1,) and (2.0, 1) == (2, 1) hash and compare alike, so the
-    memo alone would admit them. Every other input, and a tuple the memo
-    rejects, takes the checked path below, which converts integral
-    entries and raises ValueError with the reason.
+    ``_integers`` gives the entries as exact ints (a tuple of exact ints
+    returns as it is), and ``_is_canonical`` memoizes the check of that
+    int tuple, so a repeated argument costs one type scan and one memo
+    hit. A tuple that is not a partition raises ValueError with the reason.
     """
-    if type(parts) is tuple and {*map(type, parts)} <= _INT and _is_canonical(parts):
-        return parts
     lam = _integers(parts)
+    if _is_canonical(lam):
+        return lam
     if list(lam) != sorted(lam, reverse=True):
         raise ValueError(f"partition parts must be weakly decreasing, got {lam}")
-    if lam and lam[-1] < 1:
-        raise ValueError(f"partition parts must be positive, got {lam}")
-    return lam
+    raise ValueError(f"partition parts must be positive, got {lam}")
 
 
 @lru_cache(maxsize=None)
 def _is_canonical(lam) -> bool:
     """Whether the tuple of exact ints lam is weakly decreasing and
-    positive; the validation memo of ``as_partition``, which alone calls
-    it. Loops over generated partitions skip ``as_partition`` and this
-    memo, so it holds the partitions callers pass, not those a search
-    reads."""
+    positive: the validation memo of ``as_partition``, which alone calls
+    it. Loops over generated partitions skip ``as_partition``, so the memo
+    holds the partitions callers pass, not those a search reads."""
     return all(map(ge, lam, lam[1:])) and (not lam or lam[-1] > 0)
 
 
@@ -105,7 +98,10 @@ def _conjugate(lam) -> tuple:
     generated partitions."""
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    out = []
+    for i in range(lam[0]):
+        out.append(sum(1 for p in lam if p > i))
+    return tuple(out)
 
 
 def intersect(lam, mu) -> tuple:
