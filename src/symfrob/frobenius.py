@@ -24,15 +24,18 @@ per new last part r of rho: D_r, or (q_r - i r) when i copies precede r.
 A transform sums its input's int numerators along the columns. The full
 transform is ``fsur(f)`` times the complete homogeneous series. The
 coefficient families t and u are the Schur matrices of fsur and fsurinv;
-r, a and b are Pieri strip sums over their memoized columns. Alongside
-the adjoint engine this module carries the closed-form expansions of
-fsur in the h, e and p bases and of fsurinv in the p basis, the word
-formulas for the inverse in the e basis, vanishing bounds, and the
-Durfee square criterion with its witness search. The p closed forms read
-the m basis's set-partition sum ``symfunc._set_partition_sum`` with their
-own block weights. The h and e ones, the closed form of fsurinv on one
-h_r and the word-indexed product identities all read a product of
-standard series at one monomial, and share ``_assignment_sum`` for it.
+a and b are Pieri strip sums over their memoized columns, and r is read
+from memoized |mu|-slices, each the t column pushed up the horizontal
+strips to one size |mu|, so every coefficient read is one memo lookup
+after validation. Alongside the adjoint engine this module carries
+the closed-form expansions of fsur in the h, e and p bases and of
+fsurinv in the p basis, the word formulas for the inverse in the e
+basis, vanishing bounds, and the Durfee square criterion with its
+witness search. The p closed forms read the m basis's set-partition sum
+``symfunc._set_partition_sum`` with their own block weights. The h and e
+ones, the closed form of fsurinv on one h_r and the word-indexed product
+identities all read a product of standard series at one monomial, and
+share ``_assignment_sum`` for it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ from .symfunc import (
 )
 
 COEFF_KINDS = ("r", "t", "u", "a", "b")
+
+_COLUMN_KINDS = COEFF_KINDS[1:]  # the kinds with one ``_column`` per lam
 
 VANISHING_KINDS = ("r-bound", "t-bound", "a-bound", "length-bound")
 
@@ -420,6 +425,30 @@ def _horizontal_strips(mu) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _upper_strips(nu, size: int) -> tuple:
+    """Every mu of the given size with mu/nu a horizontal strip:
+    nu_(i-1) >= mu_i >= nu_i, mu_1 >= nu_1 unbounded above.
+
+    The inverse of ``_horizontal_strips``: mu is listed here exactly when
+    nu is listed there. Each of mu_2, ..., mu_(len(nu)+1) adds at most the
+    boxes left over, and mu_1 takes the rest, which must be at least nu_1.
+    A nu larger than size has none. It does not depend on lam, so every r
+    slice shares it.
+    """
+    extra = size - sum(nu)
+    if extra < 0:
+        return ()
+    choices = [range(low, min(high, low + extra) + 1) for high, low in zip(nu, nu[1:] + (0,))]
+    first_low = nu[0] if nu else 0
+    strips = []
+    for rest in product(*choices):
+        first = size - sum(rest)
+        if first >= first_low:
+            strips.append(tuple(part for part in (first,) + rest if part))
+    return tuple(strips)
+
+
+@lru_cache(maxsize=None)
 def _column(kind: str, lam):
     """Schur coefficients (mu -> int) of one family's map applied to s_lam.
 
@@ -427,11 +456,13 @@ def _column(kind: str, lam):
     t_lam^nu over nu with nu/mu a horizontal strip; b: skewed by Emin,
     then fsurinv, which inverts the a map because H * Emin = 1, and sums
     (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
-    strip. The read-only mapping is shared by every caller; kind is one
-    of t, u, a and b, checked by ``_coeff``. t and u are the integral
-    reader ``to_basis_int(·, "s")`` of the transform, which sums its int
-    numerators along the character columns ``symfunc._p_in_s``, and the
-    strip sums add ints, so no family builds a Fraction.
+    strip. r has no column here: it is read by |mu|-slices of the t
+    column (``_r_slice``). The read-only mapping is shared by every
+    caller; kind is one of t, u, a and b, checked by ``_entries``. t and
+    u are the integral reader ``to_basis_int(·, "s")`` of the transform,
+    which sums its int numerators along the character columns
+    ``symfunc._p_in_s``, and the strip sums add ints, so no family builds
+    a Fraction.
 
     Signs. fsur and fsurinv are the Hall adjoints of plethysm by Hplus and
     by Cadogan, so t_lam^mu = <s_lam, s_mu[Hplus]>, and Hplus is Schur
@@ -461,13 +492,45 @@ def _column(kind: str, lam):
     return MappingProxyType({mu: value for mu, value in column.items() if value})
 
 
+@lru_cache(maxsize=None)
+def _r_slice(lam, m: int):
+    """The r entries of lam at size m (mu -> int, every mu of size m),
+    read-only like ``_column``.
+
+    The r map is the full transform fsur * H, so by Pieri r_lam^mu =
+    <s_lam, s_mu[H]> sums t_lam^nu over nu with mu/nu a horizontal strip.
+    Pushed upward: each nonzero entry (nu, t) of the t column adds t to
+    every mu of ``_upper_strips(nu, m)``, none when |nu| > m. H has a
+    term in every degree, so a slice can be nonzero at any m, beyond |lam|
+    too; t > 0 on its column, so no entry is 0.
+    """
+    entries: dict = {}
+    get = entries.get
+    for nu, value in _column("t", lam).items():
+        for mu in _upper_strips(nu, m):
+            entries[mu] = get(mu, 0) + value
+    return MappingProxyType(entries)
+
+
+def _entries(kind: str, lam: tuple, m: int):
+    """The memoized map mu -> coefficient of (kind, lam) that holds every mu
+    of size m: the |mu|-slice for r, the whole column for t, u, a and b.
+    An unknown kind, hashable or not, raises ValueError before any memo."""
+    if kind == "r":
+        return _r_slice(lam, m)
+    if kind not in COEFF_KINDS:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    return _column(kind, lam)
+
+
 def coeff(kind: str, lam, mu) -> int:
     """One restriction-style coefficient, always an exact integer.
 
     The coefficient is the s_mu entry of the family's map applied to
-    s_lam (see ``_column``). The r map is the full transform fsur * H, so
-    its entry <s_lam, s_mu[H]> sums t_lam^nu over nu with mu/nu a
-    horizontal strip. Shares its memo with ``coeff_table``.
+    s_lam: for t, u, a and b one memoized Schur column per lam (see
+    ``_column``), for r one memoized slice per (lam, |mu|) (see
+    ``_r_slice``), so a warm read is one memo lookup after validation.
+    Shares its memos with ``coeff_table``.
 
     Every family has one sign (derived under ``_column``): r, t and a are
     multiplicities, never negative, and (-1)^(|lam|-|mu|) u and
@@ -475,18 +538,11 @@ def coeff(kind: str, lam, mu) -> int:
     <s_lam', H s_mu'[Lsum]>, so u_lam^mu and b_lam^mu have the sign of
     (-1)^(|lam|-|mu|) or vanish.
     """
-    return _coeff(kind, as_partition(lam), as_partition(mu))
-
-
-def _coeff(kind: str, lam: tuple, mu: tuple) -> int:
-    """``coeff`` on partitions already validated as canonical tuples; an
-    unknown kind, hashable or not, raises ValueError before any memo."""
-    if kind == "r":
-        column = _column("t", lam)
-        return sum(column.get(nu, 0) for nu in _horizontal_strips(mu))
-    if kind not in COEFF_KINDS:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
-    return _column(kind, lam).get(mu, 0)
+    lam, mu = as_partition(lam), as_partition(mu)
+    # The column kinds skip _entries: a warm read saves a call and a sum.
+    if kind in _COLUMN_KINDS:
+        return _column(kind, lam).get(mu, 0)
+    return _entries(kind, lam, sum(mu)).get(mu, 0)
 
 
 def coeff_table(kind: str, maxdeg: int) -> tuple:
@@ -494,10 +550,12 @@ def coeff_table(kind: str, maxdeg: int) -> tuple:
 
     The index lists partitions of size 0..maxdeg in canonical order; the
     matrix entry [i][j] is the coefficient with row index mu = index[i]
-    (the module side) and column index lam = index[j].
+    (the module side) and column index lam = index[j]. Each (lam, |mu|)
+    reads its column or r slice once (``_entries``).
     """
     index = partitions_up_to(maxdeg)
-    matrix = [[_coeff(kind, lam, mu) for lam in index] for mu in index]
+    reads = [[_entries(kind, lam, m) for m in range(maxdeg + 1)] for lam in index]
+    matrix = [[read[sum(mu)].get(mu, 0) for read in reads] for mu in index]
     return index, matrix
 
 
@@ -538,14 +596,16 @@ def vanishing_check(kind: str, lam, mu) -> bool:
     0 when len(lam) > n, and 0 <= t <= r. It does not hold for a:
     a_(1)^() = 1.
 
-    The r bound is the t bound seen through Pieri. r_lam^mu sums t_lam^nu
-    over the nu of ``_horizontal_strips(mu)``, and t >= 0, so r vanishes
-    exactly when every such t does. The t bound at (lam, nu) holds when
-    the slack |lam ∩ nu| - 2|nu| + |lam| is >= 0; a box added to nu raises
-    |lam ∩ nu| by at most 1 and 2|nu| by 2, so the slack drops by at least
-    1. hat(mu) is the least nu with mu/nu a horizontal strip (nu_i >=
-    mu_(i+1)), and every other one contains it, so the r bound, the t
-    bound at hat(mu), fails exactly when the t bound fails for every nu.
+    The r bound is the t bound seen through Pieri. r_lam^mu, the mu entry
+    of the |mu|-slice ``_r_slice(lam, |mu|)``, sums t_lam^nu over the nu
+    with mu/nu a horizontal strip (``_horizontal_strips(mu)``), and t >=
+    0, so r vanishes exactly when every such t does. The t bound at (lam,
+    nu) holds when the slack |lam ∩ nu| - 2|nu| + |lam| is >= 0; a box
+    added to nu raises |lam ∩ nu| by at most 1 and 2|nu| by 2, so the
+    slack drops by at least 1. hat(mu) is the least nu with mu/nu a
+    horizontal strip (nu_i >= mu_(i+1)), and every other one contains it,
+    so the r bound, the t bound at hat(mu), fails exactly when the t bound
+    fails for every nu.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)

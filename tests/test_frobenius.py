@@ -855,6 +855,35 @@ def test_r_decomposes_over_horizontal_strips():
             assert total == coeff("r", lam, mu), (lam, mu)
 
 
+def test_r_slice_is_the_downward_strip_sum_and_the_evaluation():
+    # Each slice pushes the t column up the strips; the downward sum over
+    # _horizontal_strips(mu) and the evaluation over classes read the same
+    # r, also for |mu| > |lam|, beyond the square tables.
+    for lam in partitions_up_to(6):
+        column = frobenius._column("t", lam)
+        for m in range(10):
+            entries = frobenius._r_slice(lam, m)
+            assert set(entries) <= set(partitions_of(m)) and all(entries.values()), (lam, m)
+            for mu in partitions_of(m):
+                want = sum(column.get(nu, 0) for nu in frobenius._horizontal_strips(mu))
+                assert entries.get(mu, 0) == want == restriction_coeff_eval(lam, mu), (lam, mu)
+
+
+def test_upper_strips_invert_horizontal_strips():
+    # mu is in _upper_strips(nu, size) exactly when nu is in
+    # _horizontal_strips(mu) and |mu| = size: every nu <= 7, every size up
+    # to |nu| + 5, the sizes below |nu| included.
+    below: dict = {}
+    for mu in partitions_up_to(12):
+        for nu in frobenius._horizontal_strips(mu):
+            below.setdefault((nu, sum(mu)), []).append(mu)
+    for nu in partitions_up_to(7):
+        for size in range(sum(nu) + 6):
+            strips = frobenius._upper_strips(nu, size)
+            assert len(set(strips)) == len(strips), (nu, size)
+            assert sorted(strips) == sorted(below.get((nu, size), [])), (nu, size)
+
+
 def test_kronecker_identity_small():
     for lam in partitions_up_to(3):
         for mu in partitions_up_to(3):
@@ -1022,7 +1051,16 @@ def test_r_read_keeps_one_column():
     symfrob.clear_caches()
     for mu in partitions_up_to(6):
         coeff("r", (1,), mu)
-    assert symfrob.cache_stats()["symfrob.frobenius._column"]["entries"] == 1
+    stats = symfrob.cache_stats()
+    assert stats["symfrob.frobenius._column"]["entries"] == 1
+    assert stats["symfrob.frobenius._r_slice"]["entries"] == 7  # one per |mu| read
+
+
+def test_r_table_reads_one_slice_per_lam_and_size():
+    symfrob.clear_caches()
+    index, _ = coeff_table("r", 5)
+    stats = symfrob.cache_stats()["symfrob.frobenius._r_slice"]
+    assert (stats["entries"], stats["hits"]) == (len(index) * 6, 0)
 
 
 def test_negative_degree_raises():
