@@ -70,7 +70,7 @@ from .symfunc import (
     InternalCheckError,
     SymFunc,
     _basis_element,
-    _check_elements,
+    _check_exact,
     _int_column_sum,
     _int_expansion,
     _linear_combination,
@@ -154,9 +154,7 @@ def _adjoint_apply(f: SymFunc, series_name: str) -> SymFunc:
     numerators over its denominator D the result's numerators are the
     int sums along the columns of f's terms, over the same D.
     """
-    _check_elements(f)
-    if f.cutoff is not None:
-        raise ValueError("the transform is defined on exact symmetric functions")
+    _check_exact(f)
     return SymFunc._build(*_int_column_sum(f, partial(_pleth_coeff, series_name)))
 
 
@@ -176,9 +174,7 @@ def fsurinv_iterative(f: SymFunc) -> SymFunc:
     The defect strictly drops degree, so the geometric-style sum is
     finite. Kept as an independent cross-check of fsurinv.
     """
-    _check_elements(f)
-    if f.cutoff is not None:
-        raise ValueError("the transform is defined on exact symmetric functions")
+    _check_exact(f)
     total = f
     cur = f
     while True:
@@ -205,9 +201,7 @@ def fsur_expansion(f: SymFunc) -> SymFunc:
     plethysm with h_2 + h_3 + ..., whose minimum degree 2|nu| bounds the
     sum at 2|nu| <= deg f.
     """
-    _check_elements(f)
-    if f.cutoff is not None:
-        raise ValueError("the transform is defined on exact symmetric functions")
+    _check_exact(f)
     if f.is_zero:
         return SymFunc.zero()
     degree = f.degree

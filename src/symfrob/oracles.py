@@ -23,7 +23,7 @@ from .partitions import (
     multiplicities,
     partitions_of,
 )
-from .symfunc import SymFunc, _check_elements
+from .symfunc import SymFunc, _check_exact
 
 __all__ = [
     "eval_at_unity",
@@ -51,9 +51,7 @@ def _numerators(f: SymFunc) -> tuple:
     each a an int, read from ``f.terms()`` over the lcm D of their
     denominators. f must be an exact element: anything but a SymFunc
     raises TypeError, a series ValueError."""
-    _check_elements(f)
-    if f.cutoff is not None:
-        raise ValueError("evaluation needs an exact symmetric function")
+    _check_exact(f)
     terms = f.terms()
     den = lcm(*(c.denominator for _, c in terms))
     return [(lam, c.numerator * (den // c.denominator)) for lam, c in terms], den

@@ -175,7 +175,6 @@ def divisors(n: int) -> tuple:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     n = _count(n, 1)
     result, m = 1, n

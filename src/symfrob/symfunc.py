@@ -167,27 +167,20 @@ class SymFunc:
     def coefficient(self, lam) -> Fraction:
         """Coefficient of p_lam; raises PrecisionError beyond the cutoff."""
         lam = as_partition(lam)
-        if self.cutoff is not None and sum(lam) > self.cutoff:
-            raise PrecisionError(
-                f"degree {sum(lam)} is beyond the cutoff {self.cutoff}"
-            )
+        _check_reach(self.cutoff, sum(lam))
         return Fraction(self._nums.get(lam, 0), self._den)
 
     def homogeneous_component(self, n: int) -> "SymFunc":
         """The exact degree-n part (requires n within the cutoff)."""
         n = _count(n)
-        if self.cutoff is not None and n > self.cutoff:
-            raise PrecisionError(f"degree {n} is beyond the cutoff {self.cutoff}")
+        _check_reach(self.cutoff, n)
         nums = {lam: c for lam, c in self._nums.items() if sum(lam) == n}
         return SymFunc._build(nums, self._den)
 
     def truncate(self, n: int) -> "SymFunc":
         """View through degree n as a series with cutoff n."""
         n = _count(n)
-        if self.cutoff is not None and n > self.cutoff:
-            raise PrecisionError(
-                f"cannot extend cutoff {self.cutoff} to {n}"
-            )
+        _check_reach(self.cutoff, n)
         nums = {lam: c for lam, c in self._nums.items() if sum(lam) <= n}
         return SymFunc._build(nums, self._den, n)
 
@@ -294,6 +287,23 @@ def _check_elements(*elements) -> None:
     for f in elements:
         if not isinstance(f, SymFunc):
             raise TypeError(f"expected a SymFunc, got {type(f).__name__}")
+
+
+def _check_exact(f) -> None:
+    """The one gate of the operations that read every term of f (the
+    transforms, skewing, evaluation): ``_check_elements``, and a truncated
+    series, whose terms past its cutoff are unknown, raises ValueError."""
+    _check_elements(f)
+    if f.cutoff is not None:
+        raise ValueError("an exact symmetric function is needed, not a truncated series")
+
+
+def _check_reach(cutoff, degree: int) -> None:
+    """The one gate of a read through the given degree: a series whose
+    cutoff lies below it raises PrecisionError; an exact element
+    (``cutoff=None``) reaches every degree."""
+    if cutoff is not None and degree > cutoff:
+        raise PrecisionError(f"degree {degree} is beyond the series cutoff {cutoff}")
 
 
 def _linear_combination(pairs, cutoff=None) -> SymFunc:
@@ -623,14 +633,10 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
     the Kronecker product, z_lam f_lam g_lam.
     """
     _check_elements(f, g)
-    if f.cutoff is not None and g.cutoff is not None:
-        raise ValueError("hall pairing of two truncated series is not defined")
     if f.cutoff is not None:
         f, g = g, f
-    if g.cutoff is not None and g.cutoff < f.degree:
-        raise PrecisionError(
-            f"series cutoff {g.cutoff} below pairing degree {f.degree}"
-        )
+    _check_exact(f)
+    _check_reach(g.cutoff, f.degree)
     product = kronecker(f, g)
     return Fraction(sum(product._nums.values()), product._den)
 
@@ -669,13 +675,9 @@ def skew(g: SymFunc, f: SymFunc) -> SymFunc:
     with itself to z_rho. So each pair of terms adds one integer z ratio
     (``z_value``).
     """
-    _check_elements(g, f)
-    if f.cutoff is not None:
-        raise ValueError("skew acts on exact symmetric functions")
-    if g.cutoff is not None and g.cutoff < f.degree:
-        raise PrecisionError(
-            f"series cutoff {g.cutoff} below skewed degree {f.degree}"
-        )
+    _check_elements(g)
+    _check_exact(f)
+    _check_reach(g.cutoff, f.degree)
     out = {}
     f_terms = f._nums.items()
     for mu, b in g._nums.items():
@@ -725,7 +727,6 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
 # -- standard series ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def lyndon_sf(n: int) -> SymFunc:
     """The degree-n Lyndon symmetric function (Mobius sum over divisor powers)."""
     n = _count(n, 1)
@@ -779,11 +780,9 @@ def _standard_series(name: str, cutoff: int) -> SymFunc:
 def leading_term(f: SymFunc, basis: str = "s"):
     """(partition, coefficient) of the canonical leading term of the top
     degree; f must be exact and nonzero, as a series' top follows its cutoff."""
-    _check_elements(f)
+    _check_exact(f)
     if f.is_zero:
         raise ValueError("the zero element has no leading term")
-    if f.cutoff is not None:
-        raise ValueError("a truncated series has no leading term")
     top = to_basis(f.homogeneous_component(f.degree), basis)
     lam = min(top, key=lambda t: tuple(-p for p in t))
     return lam, top[lam]

@@ -7,9 +7,11 @@ __init__, package code calls the validating constructor only for a
 scalar and in the roots oracle, the oracle imports no transform engine,
 only the integer column kernels name partition ids, no verify
 suite defines a closure, one function takes fraction-free elimination
-steps, the CLI loads no standard library module beyond what its own
-imports need, every symfrob name the benchmark binds exists, and every
-source line the benchmark self-test patches occurs once."""
+steps, only ``symfunc._check_reach`` raises PrecisionError and the
+transforms and the oracle read no cutoff, the CLI loads no standard
+library module beyond what its own imports need, every symfrob name the
+benchmark binds exists, and every source line the benchmark self-test
+patches occurs once."""
 
 import ast
 import importlib
@@ -618,6 +620,74 @@ def test_fraction_free_elimination_is_reported():
         ("a.py", "M"),
         ("a.py", "det"),
     ]
+
+
+def _raised_name(node):
+    """The name a raise statement raises, called or not, bare or as an
+    attribute; None for a bare ``raise``."""
+    exc = getattr(node.exc, "func", node.exc)
+    return getattr(exc, "id", None) or getattr(exc, "attr", None)
+
+
+def precision_raisers(sources: dict) -> list:
+    """(module, definition) of each top-level function or class, or
+    "<module>" for any other top-level statement, that raises PrecisionError."""
+    found = set()
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if any(
+                isinstance(node, ast.Raise) and _raised_name(node) == "PrecisionError"
+                for node in ast.walk(statement)
+            ):
+                found.add((module, getattr(statement, "name", "<module>")))
+    return sorted(found)
+
+
+def cutoff_reads(source: str) -> list:
+    """Lines that read a ``cutoff`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "cutoff"
+    )
+
+
+def test_series_rules_stay_in_symfunc():
+    # symfunc alone decides where a truncated series may go: _check_exact
+    # keeps one out of the operations that read every term, and
+    # _check_reach raises the one PrecisionError of a read past a cutoff.
+    # The transforms and the roots oracle take exact elements and never
+    # look at a cutoff.
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert precision_raisers(sources) == [("symfunc.py", "_check_reach")]
+    assert cutoff_reads(sources["frobenius.py"]) == []
+    assert cutoff_reads(sources["oracles.py"]) == []
+
+
+def test_series_rule_copy_is_reported():
+    source = (
+        "def _check_reach(cutoff, degree):\n"
+        "    if cutoff is not None and degree > cutoff:\n"
+        "        raise PrecisionError(degree)\n"
+        "\n"
+        "class SymFunc:\n"
+        "    def truncate(self, n):\n"
+        "        raise symfunc.PrecisionError\n"
+        "\n"
+        "def fsur(f, cutoff):\n"
+        "    if f.cutoff is not None:\n"
+        "        raise ValueError(cutoff)\n"
+        "    raise\n"
+        "\n"
+        "if LIMIT.cutoff:\n"
+        "    raise PrecisionError('module')\n"
+    )
+    assert precision_raisers({"a.py": source}) == [
+        ("a.py", "<module>"),
+        ("a.py", "SymFunc"),
+        ("a.py", "_check_reach"),
+    ]
+    assert cutoff_reads(source) == [10, 14]
 
 
 def test_cli_import_budget():
