@@ -57,8 +57,6 @@ from .partitions import (
     as_partition,
     divisors,
     durfee,
-    hat,
-    intersect,
     mobius,
     multiset_union,
     partition_from_composition,
@@ -172,9 +170,10 @@ def fsurinv_iterative(f: SymFunc) -> SymFunc:
     """Inverse of fsur by iterating the defect map f - fsur(f).
 
     The defect strictly drops degree, so the geometric-style sum is
-    finite. Kept as an independent cross-check of fsurinv.
+    finite. Kept as an independent cross-check of fsurinv. The first
+    ``fsur(cur)`` is the gate: it raises the TypeError or ValueError of
+    an argument that is not an exact element before any other work.
     """
-    _check_exact(f)
     total = f
     cur = f
     while True:
@@ -191,7 +190,7 @@ def frobenius_series(f: SymFunc, cutoff: int) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def _schur_plethysm(mu, cutoff: int) -> SymFunc:
-    return plethysm(from_basis("s", mu), standard_series("Hgeq2", cutoff))
+    return plethysm(_basis_element("s", mu), standard_series("Hgeq2", cutoff))
 
 
 def fsur_expansion(f: SymFunc) -> SymFunc:
@@ -450,11 +449,12 @@ def _column(kind: str, lam):
     (-1)^|lam/kappa| u_kappa^mu over kappa with lam/kappa a vertical
     strip. r has no column here: it is read by |mu|-slices of the t
     column (``_r_slice``). The read-only mapping is shared by every
-    caller; kind is one of t, u, a and b, checked by ``_entries``. t and
-    u are the integral reader ``to_basis_int(·, "s")`` of the transform,
-    which sums its int numerators along the character columns
-    ``symfunc._p_in_s``, and the strip sums add ints, so no family builds
-    a Fraction.
+    caller; kind is one of t, u, a and b: ``coeff`` calls it for the
+    kinds in ``_COLUMN_KINDS`` only, and ``_entries`` after its own check
+    against ``COEFF_KINDS``. t and u are the integral reader
+    ``to_basis_int(·, "s")`` of the transform, which sums its int
+    numerators along the character columns ``symfunc._p_in_s``, and the
+    strip sums add ints, so no family builds a Fraction.
 
     Signs. fsur and fsurinv are the Hall adjoints of plethysm by Hplus and
     by Cadogan, so t_lam^mu = <s_lam, s_mu[Hplus]>, and Hplus is Schur
@@ -596,10 +596,10 @@ def vanishing_check(kind: str, lam, mu) -> bool:
     0, so r vanishes exactly when every such t does. The t bound at (lam,
     nu) holds when the slack |lam ∩ nu| - 2|nu| + |lam| is >= 0; a box
     added to nu raises |lam ∩ nu| by at most 1 and 2|nu| by 2, so the
-    slack drops by at least 1. hat(mu) is the least nu with mu/nu a
-    horizontal strip (nu_i >= mu_(i+1)), and every other one contains it,
-    so the r bound, the t bound at hat(mu), fails exactly when the t bound
-    fails for every nu.
+    slack drops by at least 1. mu[1:], mu without its first part, is the
+    least nu with mu/nu a horizontal strip (nu_i >= mu_(i+1)), and every
+    other one contains it, so the r bound, the t bound at mu[1:], fails
+    exactly when the t bound fails for every nu.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
@@ -607,14 +607,14 @@ def vanishing_check(kind: str, lam, mu) -> bool:
         raise ValueError(f"unknown vanishing kind {kind!r}")
     if kind == "length-bound":
         return len(lam) <= sum(mu)
-    target = hat(mu) if kind == "r-bound" else mu
-    overlap = sum(intersect(lam, target))
+    target = mu[1:] if kind == "r-bound" else mu
+    overlap = sum(map(min, lam, target))
     return overlap >= 2 * sum(target) - sum(lam)
 
 
 def durfee_criterion(mu, k: int) -> bool:
     """Whether the Durfee square of mu is at most 2^(k-1)."""
-    return durfee(as_partition(mu)) <= 2 ** (_count(k, 1) - 1)
+    return durfee(mu) <= 2 ** (_count(k, 1) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -735,11 +735,11 @@ def witness_search(mu, k: int):
 
 def tilde_h(lam) -> SymFunc:
     """Inverse transform of a complete homogeneous product."""
-    return fsurinv(from_basis("h", as_partition(lam)))
+    return fsurinv(from_basis("h", lam))
 
 
 def tilde_s(lam) -> SymFunc:
     """Inverse transform of the H-skewed Schur function."""
     lam = as_partition(lam)
-    skewed = skew(standard_series("H", sum(lam)), from_basis("s", lam))
+    skewed = skew(standard_series("H", sum(lam)), _basis_element("s", lam))
     return fsurinv(skewed)

@@ -11,10 +11,10 @@ PrecisionError rather than truncating silently.
 Every builder works in ints and reduces its result once, through the one
 constructor ``SymFunc._build``. Basis elements are memoized. s_lam and
 m_lam are rows of ints over one scale (n! for s_lam, the product of the
-multiplicity factorials for m_lam); h_k is the class sizes of S_k over
-k!, h_lam is the product of its one-part elements, and e_lam is
-omega(h_lam). The m row is the set-partition sum ``_set_partition_sum``,
-which the p closed forms of ``frobenius`` read with other block weights.
+multiplicity factorials for m_lam); h_k is the Schur row s_(k), h_lam
+is the product of its one-part elements, and e_lam is omega(h_lam). The
+m row is the set-partition sum ``_set_partition_sum``, which the p
+closed forms of ``frobenius`` read with other block weights.
 Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
 of lam and the class mu. Each standard series sums one element per
 degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon function L_n
@@ -146,10 +146,6 @@ class SymFunc:
     @property
     def is_zero(self) -> bool:
         return not self._nums
-
-    @property
-    def is_series(self) -> bool:
-        return self.cutoff is not None
 
     @property
     def degree(self) -> int:
@@ -505,10 +501,9 @@ def from_basis(basis: str, lam) -> SymFunc:
     memoized: n! s_lam is the sum over rho of n of chi_lam(rho) n!/z_rho
     p_rho, the character times the size of the class rho (Macdonald
     I.7.8), and the m row is ``_set_partition_sum`` with ``_m_block``.
-    h_k is the sum over rho of k of (k!/z_rho) p_rho over k!, k!/z_rho
-    the size of the class rho in the symmetric group; h_lam is the
-    product of its one-part elements, since h is multiplicative, and
-    e_lam is omega(h_lam) (Macdonald I.2).
+    h_k is s_(k), the Schur row of the trivial character (Macdonald
+    I.3); h_lam is the product of its one-part elements, since h is
+    multiplicative, and e_lam is omega(h_lam) (Macdonald I.2).
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
@@ -525,9 +520,7 @@ def _basis_element(basis: str, lam) -> SymFunc:
     if basis == "h":
         if len(lam) > 1:
             return _basis_element("h", lam[:1]) * _basis_element("h", lam[1:])
-        size = factorial(sum(lam))
-        row = {rho: size // _z_value(rho) for rho in partitions_of(sum(lam))}
-        return SymFunc._build(row, size)
+        return _basis_element("s", lam)
     if basis == "s":
         size, mask = factorial(sum(lam)), _beta_mask(lam)
         row = {
@@ -642,7 +635,10 @@ def hall(f: SymFunc, g: SymFunc) -> Fraction:
 
 
 def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Kronecker product: diagonal on power sums with eigenvalue z_lam."""
+    """Kronecker product: diagonal on power sums with eigenvalue z_lam.
+
+    A key of both elements lies within both cutoffs, so every product
+    term lies within the smaller one."""
     _check_elements(f, g)
     cutoff = SymFunc._min_cutoff(f.cutoff, g.cutoff)
     out = {}
@@ -651,7 +647,7 @@ def kronecker(f: SymFunc, g: SymFunc) -> SymFunc:
         small, large = large, small
     for lam, a in small.items():
         b = large.get(lam)
-        if b is not None and (cutoff is None or sum(lam) <= cutoff):
+        if b is not None:
             out[lam] = _z_value(lam) * a * b
     return SymFunc._build(out, f._den * g._den, cutoff)
 

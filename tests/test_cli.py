@@ -335,6 +335,26 @@ def test_verify_zero_checks_exits_two(capsys, monkeypatch):
     assert "ran no checks" in err
 
 
+def test_internal_check_failure_exits_three(capsys, monkeypatch):
+    # The corruption of test_stable_b_check_rejects_corrupt_entry: one wrong
+    # b entry fails the b·a = I check, an InternalCheckError.
+    import symfrob.frobenius as frob_module
+
+    real_table = frob_module.coeff_table
+
+    def corrupted(kind, maxdeg):
+        index, matrix = real_table(kind, maxdeg)
+        if kind == "b":
+            matrix[-1][0] += 1
+        return index, matrix
+
+    monkeypatch.setattr(frob_module, "coeff_table", corrupted)
+    code, out, err = run_cli(capsys, "table", "--kind", "b", "--maxdeg", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

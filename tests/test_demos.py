@@ -20,3 +20,10 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # The first python block of the README states its results as asserts.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -448,6 +448,7 @@ def test_results_are_keyed_by_partition_tuples():
 
 def test_fsur_expansion_examples():
     assert fsur_expansion(SymFunc.one()) == SymFunc.one()
+    assert fsur_expansion(SymFunc.zero()) == SymFunc.zero()
     assert fsur_expansion(h(2, 2)) == fsur(h(2, 2))
 
 

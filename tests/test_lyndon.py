@@ -120,6 +120,8 @@ def test_enumerate_lyndon_grouping():
     for content, words in grouped.items():
         for w in words:
             assert content_vector(w, 2) == content
+    with pytest.raises(ValueError, match=r"letters \[4\] not in alphabet"):
+        content_vector((1, 4), 3)
 
 
 def test_pair_alphabet_lexicographic():
@@ -157,6 +159,7 @@ def test_word_parse_and_format():
     with pytest.raises(ValueError):
         parse_word("12a")
     assert parse_word(" 10 , 2 ") == (10, 2)
+    assert parse_word("") == parse_word("  ") == ()
 
 
 @pytest.mark.parametrize("text", ["1_0,2", "+1,2", "1,", "\u0663,1", "\u0663", "1\u00b2"])

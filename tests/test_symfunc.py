@@ -608,6 +608,14 @@ def test_series_term_rule_matches_the_series():
         ("coeff_table", ([], 2), "unknown coefficient kind"),
         ("SymFunc", (5,), "terms must be a mapping"),
         ("parse_partition", (5,), "cannot parse partition"),
+        # Unknown names and values outside a rule: raises no other test reaches.
+        ("from_basis", ("x", (1,)), "unknown basis"),
+        ("to_basis", (SymFunc.one(), "x"), "unknown basis"),
+        ("to_basis_int", (SymFunc.one(), []), "unknown basis"),
+        ("from_serializable", ({"basis": "x", "terms": []},), "unknown basis"),
+        ("stable_matrix", ("r", 3), "covers kinds 'a' and 'b'"),
+        ("vanishing_check", ("x", (1,), (1,)), "unknown vanishing kind"),
+        ("SymFunc", ({(3,): 1}, 2), "above cutoff 2"),
     ],
 )
 def test_inputs_of_the_wrong_type_raise_value_error(name, args, message):
