@@ -14,16 +14,17 @@ m_lam are rows of ints over one scale (n! for s_lam, the product of the
 multiplicity factorials for m_lam); h_k is the Schur row s_(k), h_lam
 is the product of its one-part elements, and e_lam is omega(h_lam). The
 m row is the set-partition sum ``_set_partition_sum``, which the p
-closed forms of ``frobenius`` read with other block weights.
-Characters have one memo, ``_border_strip_sum``, keyed by the bead mask
-of lam and the class mu. Each standard series sums one element per
-degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon function L_n
-or (-1)^(n-1) omega(L_n). A Fraction is built only when a coefficient is
-read. Every conversion out of p is one sum, ``_column_sum``, along the
-memoized integer columns ``_p_in_s``, ``_p_in_h`` and ``_p_in_m``. The
-integral reader ``to_basis_int`` feeds it ints in every basis, and so
-does ``to_basis`` in h, e and m; its Schur conversion feeds it f's
-Fraction terms (see ``to_basis`` for why).
+closed forms of ``frobenius`` read with other block weights. Characters
+are computed twice, independently: the Schur rows top-down by bead mask
+and class (``_border_strip_sum``), the Schur columns bottom-up, one
+border strip at a time (``_strip_step``). Each standard series sums one
+element per degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon
+function L_n or (-1)^(n-1) omega(L_n). A Fraction is built only when a
+coefficient is read. Every conversion out of p is one sum,
+``_column_sum``, along the memoized integer columns ``_p_in_s``,
+``_p_in_h`` and ``_p_in_m``. The integral reader ``to_basis_int`` feeds
+it ints in every basis, and so does ``to_basis`` in h, e and m; its
+Schur conversion feeds it f's Fraction terms (see ``to_basis`` for why).
 """
 
 from __future__ import annotations
@@ -397,27 +398,36 @@ def _border_strip_sum(mask: int, mu) -> int:
 
 
 @lru_cache(maxsize=None)
-def _s_rows(n: int) -> tuple:
-    """(bead mask, id) of each lam of n, in ``partitions_of`` order: what
-    every Schur column of degree n reads per lam, computed once."""
-    return tuple((_beta_mask(lam), _part_id(lam)) for lam in partitions_of(n))
+def _strip_step(lam: int, k: int) -> tuple:
+    """p_k s_lam as (id of kappa, sign) pairs, lam an id: kappa adds a border
+    strip of size k (Macdonald I.3 Ex. 11), a bead moving from b to an empty
+    b + k in the beta set of lam with k more beads, with sign (-1)^(beads
+    strictly between). A part of kappa is a bead less the beads below it."""
+    mask = _beta_mask(_PART_ENTRIES[lam]) << k | (1 << k) - 1
+    out = []
+    for b in range(mask.bit_length()):
+        if mask >> b & 1 and not mask >> (b + k) & 1:
+            moved = mask ^ 1 << b ^ 1 << (b + k)
+            beads = [c for c in range(moved.bit_length()) if moved >> c & 1]
+            kappa = tuple(c - i for i, c in enumerate(beads) if c > i)[::-1]
+            sign = (-1) ** (mask >> (b + 1) & (1 << (k - 1)) - 1).bit_count()
+            out.append((_part_id(kappa), sign))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _p_in_s(nu) -> tuple:
-    """p_nu in the s basis, as (id of lam, int) pairs.
-
-    p_nu is the sum over lam of |nu| of chi_lam(nu) s_lam (Macdonald
-    I.7.8), each character read from ``_border_strip_sum`` at the bead
-    mask of lam (``_s_rows``); the lam with chi_lam(nu) = 0 are left
-    out. Each lam is keyed by its partition id.
-    """
-    out = []
-    for mask, pid in _s_rows(sum(nu)):
-        chi = _border_strip_sum(mask, nu)
-        if chi:
-            out.append((pid, chi))
-    return tuple(out)
+    """p_nu in the s basis, as (id of lam, chi_lam(nu)) pairs with the zeros
+    left out (Macdonald I.7.8). Like ``_p_in_h`` it is built one part at a
+    time: p_(nu_1) takes each entry of the column of nu[1:] one border
+    strip up (``_strip_step``). Each lam is keyed by its partition id."""
+    if not nu:
+        return ((_part_id(()), 1),)
+    out = {}
+    for lam, c in _p_in_s(nu[1:]):
+        for kappa, sign in _strip_step(lam, nu[0]):
+            out[kappa] = out.get(kappa, 0) + sign * c
+    return tuple((lam, c) for lam, c in out.items() if c)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfrob
-from symfrob.frobenius import fsur, fsur_p_direct, fsurinv, fsurinv_p_direct
+from symfrob.frobenius import coeff, fsur, fsur_p_direct, fsurinv, fsurinv_p_direct
 from symfrob.partitions import (
     conjugate,
     multiplicities,
@@ -27,6 +27,7 @@ from symfrob.symfunc import (
     _m_block,
     _p_in_h,
     _p_in_m,
+    _p_in_s,
     _series_term,
     _set_partition_sum,
     character_value,
@@ -210,13 +211,17 @@ def test_h_and_m_expansions_match_hall_duality_property(combination):
 
 def test_h_e_m_conversion_skips_the_p_expansion_memos():
     # Every conversion out of p reads one integer column per power-sum
-    # term of f and builds no basis element on the way.
+    # term of f and builds no basis element on the way. A Schur column is
+    # built from the column of its suffix nu[1:], so the s memo holds one
+    # column per distinct suffix nu[i:] of f's support, () included.
     f = s(4, 3, 2) + Fraction(1, 2) * p(9) - h(5, 4)
     symfrob.clear_caches()
     for basis in ("h", "e", "m", "s"):
         to_basis(f, basis)
     stats = symfrob.cache_stats()
-    assert stats["symfrob.symfunc._p_in_s"]["entries"] == len(f.support())
+    suffixes = {nu[i:] for nu in f.support() for i in range(len(nu) + 1)}
+    assert len(suffixes) == 50
+    assert stats["symfrob.symfunc._p_in_s"]["entries"] == len(suffixes)
     for memo in ("_basis_element", "_set_partition_sum"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
@@ -765,6 +770,29 @@ def test_border_strip_memo_keeps_one_entry_per_partition():
         character_value(lam, (1,) * 6)
     entries = symfrob.cache_stats()["symfrob.symfunc._border_strip_sum"]["entries"]
     assert entries == sum(len(partitions_of(k)) for k in range(7))
+
+
+def test_schur_columns_match_the_row_characters_through_degree_12():
+    # Two independent Murnaghan-Nakayama computations: each column of
+    # _p_in_s is built bottom-up, one border strip at a time, and
+    # character_value reads the rows top-down (_border_strip_sum).
+    for n in range(13):
+        shapes = partitions_of(n)
+        for nu in shapes:
+            column = column_by_partition(_p_in_s(nu))
+            for lam in shapes:
+                assert column.get(lam, 0) == character_value(lam, nu), (lam, nu)
+
+
+def test_one_t_column_leaves_the_row_character_memo_small():
+    # A Schur column does not read _border_strip_sum, so a cold t column
+    # at degree 16 fills it only through the Schur row of the s_lam it
+    # transforms (530 entries); columns read from the rows' memo would
+    # leave 87,881 there.
+    symfrob.clear_caches()
+    coeff("t", (14, 1, 1), (1,))
+    entries = symfrob.cache_stats()["symfrob.symfunc._border_strip_sum"]["entries"]
+    assert entries < 1000, entries
 
 
 def test_character_table_columns_are_orthogonal():
