@@ -50,6 +50,7 @@ from .lyndon import (
     factorize,
     is_lyndon,
     lyndon_words,
+    parse_word,
     pi_of_word,
     witt_count,
 )

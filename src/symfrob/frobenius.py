@@ -453,8 +453,9 @@ def _column(kind: str, lam):
     kinds in ``_COLUMN_KINDS`` only, and ``_entries`` after its own check
     against ``COEFF_KINDS``. t and u are the integral reader
     ``to_basis_int(·, "s")`` of the transform, which sums its int
-    numerators along the character columns ``symfunc._p_in_s``, and the
-    strip sums add ints, so no family builds a Fraction.
+    numerators along the character columns ``symfunc._p_column("s", ·)``,
+    one border strip at a time (``symfunc._strip_step``), and the strip
+    sums add ints, so no family builds a Fraction.
 
     Signs. fsur and fsurinv are the Hall adjoints of plethysm by Hplus and
     by Cadogan, so t_lam^mu = <s_lam, s_mu[Hplus]>, and Hplus is Schur

@@ -120,7 +120,9 @@ def witt_count(alphabet_size: int, n: int) -> int:
 
 def parse_word(text: str) -> tuple:
     """Parse a word: an ASCII digit string like "2121", or comma-separated
-    decimal integers like "10,2"."""
+    decimal integers like "10,2". Anything but a str raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse word from {text!r}")
     s = text.strip()
     if not s:
         return ()

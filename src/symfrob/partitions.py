@@ -146,8 +146,10 @@ def _z_value(lam) -> int:
 
 
 # The partition id table. The integer column memos (the plethysm
-# coefficients, the p-to-h and p-to-m columns) key their entries by a
-# small int id instead of the partition tuple, which is cheaper to hash.
+# coefficients, the columns of p_nu in s, h and m, ``symfunc._p_column``,
+# and their one-part steps ``_strip_step``, ``_h_step`` and ``_m_step``)
+# key their entries by a small int id instead of the partition tuple,
+# which is cheaper to hash.
 # Ids are handed out in discovery order, ``_PART_ENTRIES[id]`` is the
 # partition of an id, and ids never leave the package.
 # Only ``symfrob.clear_caches()`` empties the table, in the same call that

@@ -21,17 +21,19 @@ border strip at a time (``_strip_step``). Each standard series sums one
 element per degree, ``_series_term``: h_n, e_n, (-1)^n e_n, the Lyndon
 function L_n or (-1)^(n-1) omega(L_n). A Fraction is built only when a
 coefficient is read. Every conversion out of p is one sum,
-``_column_sum``, along the memoized integer columns ``_p_in_s``,
-``_p_in_h`` and ``_p_in_m``. The integral reader ``to_basis_int`` feeds
-it ints in every basis, and so does ``to_basis`` in h, e and m; its
-Schur conversion feeds it f's Fraction terms (see ``to_basis`` for why).
+``_column_sum``, along the memoized integer columns ``_p_column(basis,
+nu)``: one fold, p_(nu_1) applied to the column of nu[1:] through the
+basis's memoized one-part step, ``_strip_step`` in s, ``_h_step`` in h
+and ``_m_step`` in m. The integral reader ``to_basis_int`` feeds it ints
+in every basis, and so does ``to_basis`` in h, e and m; its Schur
+conversion feeds it f's Fraction terms (see ``to_basis`` for why).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd, lcm, prod
 
 from .partitions import (
@@ -416,64 +418,54 @@ def _strip_step(lam: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _p_in_s(nu) -> tuple:
-    """p_nu in the s basis, as (id of lam, chi_lam(nu)) pairs with the zeros
-    left out (Macdonald I.7.8). Like ``_p_in_h`` it is built one part at a
-    time: p_(nu_1) takes each entry of the column of nu[1:] one border
-    strip up (``_strip_step``). Each lam is keyed by its partition id."""
-    if not nu:
-        return ((_part_id(()), 1),)
-    out = {}
-    for lam, c in _p_in_s(nu[1:]):
-        for kappa, sign in _strip_step(lam, nu[0]):
-            out[kappa] = out.get(kappa, 0) + sign * c
-    return tuple((lam, c) for lam, c in out.items() if c)
-
-
-@lru_cache(maxsize=None)
-def _p_in_h(nu) -> tuple:
-    """p_nu in the h basis, as (id of mu, int) pairs.
-
-    Newton's identity (Macdonald I.2.14') gives p_k as the sum over
-    lam of k of (-1)^(l-1) k (l-1)! / prod_i m_i(lam)! h_lam, l = len(lam).
-    p_nu is the product of these over its parts, taken one part at a time;
-    h_lam h_mu is h of the multiset union. Each mu is keyed by its
-    partition id (``partitions._PART_ENTRIES``).
-    """
-    if not nu:
-        return ((_part_id(()), 1),)
-    k = nu[0]
-    out = {}
+def _h_step(mu: int, k: int) -> tuple:
+    """p_k h_mu as (id of kappa, int) pairs, mu an id. Newton's identity
+    (Macdonald I.2.14') gives p_k as the sum over lam of k of (-1)^(l-1)
+    k (l-1)! / prod_i m_i(lam)! h_lam, l = len(lam), and h_lam h_mu is h
+    of the multiset union kappa."""
+    mu = _PART_ENTRIES[mu]
+    out = []
     for lam in partitions_of(k):
         c = (-1) ** (len(lam) - 1) * k * factorial(len(lam) - 1)
         for m in multiplicities(lam).values():
             c //= factorial(m)
-        for mu, d in _p_in_h(nu[1:]):
-            key = multiset_union(lam, _PART_ENTRIES[mu])
-            out[key] = out.get(key, 0) + c * d
-    return tuple((_part_id(mu), c) for mu, c in out.items() if c)
+        out.append((_part_id(multiset_union(lam, mu)), c))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _p_in_m(nu) -> tuple:
-    """p_nu in the m basis, as (id of mu, int) pairs.
+def _m_step(mu: int, k: int) -> tuple:
+    """p_k m_mu as (id of kappa, int) pairs, mu an id (Macdonald I.6): kappa
+    adds k to one part value v of mu (v = 0 appends k), with coefficient
+    m_(v+k)(kappa), the number of parts of kappa that p_k can have supplied."""
+    mu = _PART_ENTRIES[mu]
+    out = []
+    for v in (0, *multiplicities(mu)):
+        kappa = multiset_union(multiset_diff(mu, (v,)) if v else mu, (v + k,))
+        out.append((_part_id(kappa), kappa.count(v + k)))
+    return tuple(out)
 
-    [m_mu] p_nu = <p_nu, h_mu>, the matrix L(p, m) of Macdonald I.6. p_nu
-    is built one part k at a time: p_k m_mu is the sum of m_mu' over the
-    mu' made by adding k to one part value v of mu (v = 0 appends k),
-    each with coefficient m_{v+k}(mu'), the number of parts of mu' that
-    p_k can have supplied. Each mu is keyed by its partition id.
-    """
+
+# The one-part step of each basis with an integer column: p_k times the
+# basis element of an id, as (id, int) pairs.
+_STEPS = {"s": _strip_step, "h": _h_step, "m": _m_step}
+
+
+@lru_cache(maxsize=None)
+def _p_column(basis: str, nu) -> tuple:
+    """p_nu in the basis s, h or m, as (id of mu, int) pairs with the zeros
+    left out; in s the ints are the characters chi_mu(nu) (Macdonald
+    I.7.8), in m the pairings <p_nu, h_mu>. The column is p_(nu_1)
+    applied to the column of nu[1:], one step of the basis (``_STEPS``)
+    per entry. Each mu is keyed by its partition id."""
     if not nu:
         return ((_part_id(()), 1),)
-    k = nu[0]
+    step = _STEPS[basis]
     out = {}
-    for pid, c in _p_in_m(nu[1:]):
-        mu = _PART_ENTRIES[pid]
-        for v in (0, *multiplicities(mu)):
-            key = multiset_union(multiset_diff(mu, (v,)) if v else mu, (v + k,))
-            out[key] = out.get(key, 0) + c * key.count(v + k)
-    return tuple((_part_id(mu), c) for mu, c in out.items())
+    for mu, c in _p_column(basis, nu[1:]):
+        for kappa, d in step(mu, nu[0]):
+            out[kappa] = out.get(kappa, 0) + c * d
+    return tuple((mu, c) for mu, c in out.items() if c)
 
 
 @lru_cache(maxsize=None)
@@ -568,21 +560,15 @@ def _int_expansion(f: SymFunc, basis: str) -> tuple:
     """f in the basis as (totals, D): f is the sum of totals[lam] / D times
     the basis element of lam, each total a nonzero int and D f's own
     denominator. p reads f's numerators; s, h and m sum them along the
-    integer column of p_nu in that basis (``_int_column_sum``); e sums
+    basis's integer columns ``_p_column`` (``_int_column_sum``); e sums
     ``omega(f)`` along the h columns. Any other basis raises ValueError."""
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}")
     if basis == "e":
         f, basis = omega(f), "h"
     if basis == "p":
         return f._nums, f._den
-    if basis == "s":
-        column = _p_in_s
-    elif basis == "h":
-        column = _p_in_h
-    elif basis == "m":
-        column = _p_in_m
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return _int_column_sum(f, column)
+    return _int_column_sum(f, partial(_p_column, basis))
 
 
 def to_basis(f: SymFunc, basis: str) -> dict:
@@ -590,15 +576,16 @@ def to_basis(f: SymFunc, basis: str) -> dict:
 
     For a series the expansion covers degrees up to the cutoff. Each
     coefficient sums f's terms along the integer column of p_nu in the
-    basis (``_column_sum``): ``_p_in_s`` for s, Newton's identity for h,
-    ``_p_in_m`` for m, and the h columns of ``omega(f)`` for e. The s
-    branch feeds the column f's Fraction terms, not its int numerators,
-    until the benchmark harness reads each child's own peak memory
-    (ROADMAP items 1 and 2).
+    basis, ``_p_column`` (``_column_sum``): one border strip at a time
+    for s (``_strip_step``), Newton's identity for h (``_h_step``), one
+    raised part for m (``_m_step``), and the h columns of ``omega(f)``
+    for e. The s branch feeds the column f's Fraction terms, not its int
+    numerators, until the benchmark harness reads each child's own peak
+    memory (ROADMAP items 1 and 2).
     """
     _check_elements(f)
     if basis == "s":
-        return _column_sum(f.terms(), _p_in_s)
+        return _column_sum(f.terms(), partial(_p_column, "s"))
     totals, denominator = _int_expansion(f, basis)
     return {mu: Fraction(total, denominator) for mu, total in totals.items()}
 

@@ -29,7 +29,7 @@ from symfrob.partitions import (
 from symfrob.symfunc import (
     BASES,
     SymFunc,
-    _p_in_h,
+    _p_column,
     from_basis,
     lyndon_sf,
     omega,
@@ -50,7 +50,7 @@ def m_in_p_by_transpose(n):
     """
     table = {mu: {} for mu in partitions_of(n)}
     for nu in partitions_of(n):
-        for mu, c in column_by_partition(_p_in_h(nu)).items():
+        for mu, c in column_by_partition(_p_column("h", nu)).items():
             table[mu][nu] = Fraction(c, z_value(nu))
     return {mu: SymFunc(terms) for mu, terms in table.items()}
 

@@ -206,9 +206,9 @@ def test_partition_ids_stay_in_the_column_kernels():
         ("frobenius.py", "_insert_part"),
         ("frobenius.py", "_pleth_coeff"),
         ("symfunc.py", "_column_sum"),
-        ("symfunc.py", "_p_in_h"),
-        ("symfunc.py", "_p_in_m"),
-        ("symfunc.py", "_p_in_s"),
+        ("symfunc.py", "_h_step"),
+        ("symfunc.py", "_m_step"),
+        ("symfunc.py", "_p_column"),
         ("symfunc.py", "_strip_step"),
     ]
 

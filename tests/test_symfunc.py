@@ -25,9 +25,7 @@ from symfrob.symfunc import (
     _SERIES_START,
     SymFunc,
     _m_block,
-    _p_in_h,
-    _p_in_m,
-    _p_in_s,
+    _p_column,
     _series_term,
     _set_partition_sum,
     character_value,
@@ -127,7 +125,7 @@ def test_hall_h_m_duality_property():
 def test_p_in_h_sums_to_power_sum():
     for nu in partitions_up_to(8):
         total = SymFunc.zero()
-        for mu, c in column_by_partition(_p_in_h(nu)).items():
+        for mu, c in column_by_partition(_p_column("h", nu)).items():
             assert type(c) is int, (nu, mu)
             total = total + from_basis("h", mu) * c
         assert total == from_basis("p", nu), nu
@@ -135,7 +133,7 @@ def test_p_in_h_sums_to_power_sum():
 
 def test_p_in_m_is_pairing_with_h():
     for nu in partitions_up_to(8):
-        column = column_by_partition(_p_in_m(nu))
+        column = column_by_partition(_p_column("m", nu))
         assert all(type(c) is int for c in column.values()), nu
         assert set(column) <= set(partitions_of(sum(nu))), nu
         for mu in partitions_of(sum(nu)):
@@ -211,9 +209,10 @@ def test_h_and_m_expansions_match_hall_duality_property(combination):
 
 def test_h_e_m_conversion_skips_the_p_expansion_memos():
     # Every conversion out of p reads one integer column per power-sum
-    # term of f and builds no basis element on the way. A Schur column is
-    # built from the column of its suffix nu[1:], so the s memo holds one
-    # column per distinct suffix nu[i:] of f's support, () included.
+    # term of f and builds no basis element on the way. A column is built
+    # from the column of its suffix nu[1:], so the memo holds one column
+    # per distinct suffix nu[i:] of f's support, () included, for each of
+    # s, h and m; e reads the h columns of omega(f), whose support is f's.
     f = s(4, 3, 2) + Fraction(1, 2) * p(9) - h(5, 4)
     symfrob.clear_caches()
     for basis in ("h", "e", "m", "s"):
@@ -221,7 +220,7 @@ def test_h_e_m_conversion_skips_the_p_expansion_memos():
     stats = symfrob.cache_stats()
     suffixes = {nu[i:] for nu in f.support() for i in range(len(nu) + 1)}
     assert len(suffixes) == 50
-    assert stats["symfrob.symfunc._p_in_s"]["entries"] == len(suffixes)
+    assert stats["symfrob.symfunc._p_column"]["entries"] == 3 * len(suffixes)
     for memo in ("_basis_element", "_set_partition_sum"):
         assert stats[f"symfrob.symfunc.{memo}"]["entries"] == 0, memo
 
@@ -234,7 +233,7 @@ def assert_integer_reader_matches(f, integral_in=()):
     in every basis b, and raises IntegralityError where one is not an int.
     In the bases of integral_in every coefficient must be an int.
 
-    Both readers sum along the same columns, ``_p_in_s`` in s included,
+    Both readers sum along the same columns, ``_p_column`` in s included,
     so this checks the int feed against the rational one, not a column
     against a second route. The columns' independent references are
     ``_hall_dual_expansion`` in ``test_h_and_m_expansions_match_hall_duality``
@@ -621,6 +620,8 @@ def test_series_term_rule_matches_the_series():
         ("stable_matrix", ("r", 3), "covers kinds 'a' and 'b'"),
         ("vanishing_check", ("x", (1,), (1,)), "unknown vanishing kind"),
         ("SymFunc", ({(3,): 1}, 2), "above cutoff 2"),
+        # A word, like a partition, is parsed from a str only.
+        ("parse_word", (5,), "cannot parse word"),
     ],
 )
 def test_inputs_of_the_wrong_type_raise_value_error(name, args, message):
@@ -773,13 +774,13 @@ def test_border_strip_memo_keeps_one_entry_per_partition():
 
 
 def test_schur_columns_match_the_row_characters_through_degree_12():
-    # Two independent Murnaghan-Nakayama computations: each column of
-    # _p_in_s is built bottom-up, one border strip at a time, and
-    # character_value reads the rows top-down (_border_strip_sum).
+    # Two independent Murnaghan-Nakayama computations: each Schur column
+    # _p_column("s", nu) is built bottom-up, one border strip at a time,
+    # and character_value reads the rows top-down (_border_strip_sum).
     for n in range(13):
         shapes = partitions_of(n)
         for nu in shapes:
-            column = column_by_partition(_p_in_s(nu))
+            column = column_by_partition(_p_column("s", nu))
             for lam in shapes:
                 assert column.get(lam, 0) == character_value(lam, nu), (lam, nu)
 
